@@ -14,7 +14,7 @@
 //! | [`par`]  | `crossbeam::scope` | [`par::par_map_indexed`] — ordered scoped fan-out with a worker cap |
 //! | [`sync`] | `parking_lot`      | guard-returning `Mutex` / `RwLock` |
 //! | [`metrics`] | `prometheus`    | atomic `Counter` / `Gauge` / latency `Histogram` for the service layer |
-//! | [`net`]  | `mio`/`epoll` crates | [`net::Poller`] — level-triggered readiness polling (Linux epoll via the libc std links; `Unsupported` elsewhere) |
+//! | [`net`]  | `mio`/`epoll` crates | [`net::Poller`] — level-triggered readiness polling (Linux epoll, `poll(2)` on other unix targets, via the libc std links) |
 //!
 //! Determinism is the design center: the PRNG stream is pinned by tests,
 //! JSON output is byte-stable (sorted keys, shortest float repr), and

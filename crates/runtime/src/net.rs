@@ -1,13 +1,18 @@
 //! Readiness polling for nonblocking sockets — the event-loop substrate
 //! of cp-serve.
 //!
-//! [`Poller`] wraps Linux `epoll` through `extern "C"` declarations
-//! against the libc that `std` already links, so the workspace keeps its
-//! zero-external-crate invariant while getting level-triggered readiness
-//! notification for thousands of connections per loop thread. On every
-//! other platform [`Poller::new`] returns `Unsupported` and the caller
-//! falls back to its portable blocking path (cp-serve keeps the
-//! accept-queue worker pool for exactly that).
+//! [`Poller`] has two backends behind one API, both reached through
+//! `extern "C"` declarations against the libc that `std` already links,
+//! so the workspace keeps its zero-external-crate invariant:
+//!
+//! * **Linux:** `epoll` — readiness for thousands of connections per loop
+//!   thread at a cost independent of how many are idle, and
+//!   `EPOLLEXCLUSIVE` listener registration so one loop wakes per accept.
+//! * **Other unix targets:** `poll(2)` over the registered set — one
+//!   syscall scans every fd, and a shared listener wakes every loop that
+//!   polls it (the losers see `WouldBlock` on `accept`). The module is
+//!   also compiled for tests on Linux, so both backends run the same
+//!   tests there.
 //!
 //! The surface is deliberately tiny: register a file descriptor with a
 //! caller-chosen `token`, optionally arm write-readiness, and wait. All
@@ -63,7 +68,7 @@ mod sys {
 
 /// Linux epoll implementation.
 #[cfg(target_os = "linux")]
-mod imp {
+mod epoll {
     use super::{sys, PollEvent};
     use std::io;
     use std::os::fd::RawFd;
@@ -92,11 +97,6 @@ mod imp {
             Ok(Poller { epfd, buf: vec![sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS] })
         }
 
-        /// Whether this build has a native poller.
-        pub const fn is_native() -> bool {
-            true
-        }
-
         fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
             let mut event = sys::EpollEvent { events, data: token };
             // SAFETY: `event` outlives the call; the kernel copies it.
@@ -113,14 +113,14 @@ mod imp {
 
         /// Registers `fd` with read interest (plus write when `writable`),
         /// level-triggered.
-        pub fn add(&self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+        pub fn add(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
             self.ctl(sys::EPOLL_CTL_ADD, fd, Self::interest(writable), token)
         }
 
         /// Registers a shared listener with `EPOLLEXCLUSIVE` so only one
         /// of the loops polling it wakes per connection; degrades to a
         /// plain registration on kernels that reject the flag.
-        pub fn add_exclusive(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        pub fn add_exclusive(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
             let events = sys::EPOLLIN | sys::EPOLLEXCLUSIVE;
             match self.ctl(sys::EPOLL_CTL_ADD, fd, events, token) {
                 Err(e) if e.raw_os_error() == Some(22) => {
@@ -131,13 +131,13 @@ mod imp {
         }
 
         /// Rearms `fd` with read interest (plus write when `writable`).
-        pub fn modify(&self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+        pub fn modify(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
             self.ctl(sys::EPOLL_CTL_MOD, fd, Self::interest(writable), token)
         }
 
         /// Deregisters `fd`. Closing the fd also deregisters it, so this
         /// is only needed when the fd outlives its interest.
-        pub fn remove(&self, fd: RawFd) -> io::Result<()> {
+        pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
             self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0)
         }
 
@@ -188,160 +188,260 @@ mod imp {
     }
 }
 
-/// Stub for platforms without a native poller: construction fails with
-/// `Unsupported` and callers use their blocking fallback.
-#[cfg(not(target_os = "linux"))]
-mod imp {
+/// Portable `poll(2)` implementation: the registered set lives in user
+/// space and every [`wait`](Poller::wait) hands all of it to the kernel.
+#[cfg(all(unix, any(not(target_os = "linux"), test)))]
+mod poll {
     use super::PollEvent;
     use std::io;
+    use std::os::fd::RawFd;
     use std::time::Duration;
 
-    /// The raw fd type on platforms where std does not expose one.
-    pub type RawFd = i32;
+    /// `struct pollfd` from `<poll.h>` (same layout on every unix).
+    #[repr(C)]
+    #[derive(Clone, Copy, Debug)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
 
-    #[derive(Debug)]
-    pub struct Poller {}
+    /// `nfds_t`: `unsigned long` in glibc/musl, `unsigned int` on the BSDs
+    /// and macOS.
+    #[cfg(target_os = "linux")]
+    type NfdsT = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NfdsT = std::ffi::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
+    }
+
+    const POLLIN: i16 = 0x001;
+    const POLLOUT: i16 = 0x004;
+    const POLLERR: i16 = 0x008;
+    const POLLHUP: i16 = 0x010;
+    const POLLNVAL: i16 = 0x020;
+
+    /// The registered fds and, index for index, their tokens.
+    #[derive(Debug, Default)]
+    pub struct Poller {
+        fds: Vec<PollFd>,
+        tokens: Vec<u64>,
+    }
 
     impl Poller {
+        /// Creates an empty registration set.
         pub fn new() -> io::Result<Poller> {
-            Err(io::Error::new(io::ErrorKind::Unsupported, "no native poller on this platform"))
+            Ok(Poller::default())
         }
 
-        pub const fn is_native() -> bool {
-            false
+        fn interest(writable: bool) -> i16 {
+            POLLIN | if writable { POLLOUT } else { 0 }
         }
 
-        pub fn add(&self, _fd: RawFd, _token: u64, _writable: bool) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
+        fn position(&self, fd: RawFd) -> io::Result<usize> {
+            self.fds
+                .iter()
+                .position(|p| p.fd == fd)
+                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd is not registered"))
         }
 
-        pub fn add_exclusive(&self, _fd: RawFd, _token: u64) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
+        /// Registers `fd` with read interest (plus write when `writable`),
+        /// level-triggered.
+        pub fn add(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+            if self.position(fd).is_ok() {
+                return Err(io::Error::new(io::ErrorKind::AlreadyExists, "fd is registered"));
+            }
+            self.fds.push(PollFd { fd, events: Self::interest(writable), revents: 0 });
+            self.tokens.push(token);
+            Ok(())
         }
 
-        pub fn modify(&self, _fd: RawFd, _token: u64, _writable: bool) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
+        /// Registers a shared listener. `poll(2)` has no exclusive wakeup,
+        /// so this is a plain read registration.
+        pub fn add_exclusive(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
+            self.add(fd, token, false)
         }
 
-        pub fn remove(&self, _fd: RawFd) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
+        /// Rearms `fd` with read interest (plus write when `writable`).
+        pub fn modify(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+            let i = self.position(fd)?;
+            self.fds[i].events = Self::interest(writable);
+            self.tokens[i] = token;
+            Ok(())
         }
 
+        /// Deregisters `fd`. Unlike epoll, a closed fd stays in the set
+        /// (and reports `POLLNVAL`) until it is removed.
+        pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
+            let i = self.position(fd)?;
+            self.fds.swap_remove(i);
+            self.tokens.swap_remove(i);
+            Ok(())
+        }
+
+        /// Blocks until at least one registered fd is ready or `timeout`
+        /// passes (`None` = forever), then appends the ready events to
+        /// `events` and returns how many were delivered.
         pub fn wait(
             &mut self,
-            _events: &mut Vec<PollEvent>,
-            _timeout: Option<Duration>,
+            events: &mut Vec<PollEvent>,
+            timeout: Option<Duration>,
         ) -> io::Result<usize> {
-            unreachable!("stub poller cannot be constructed")
+            let timeout_ms = match timeout {
+                None => -1i32,
+                Some(t) => t.as_millis().min(i32::MAX as u128) as i32,
+            };
+            // SAFETY: `fds` is a live allocation of exactly `fds.len()`
+            // `PollFd`s for the whole call; the kernel only writes their
+            // `revents` fields.
+            let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as NfdsT, timeout_ms) };
+            if n < 0 {
+                let err = io::Error::last_os_error();
+                // A signal interrupting the wait is a spurious wakeup.
+                if err.kind() == io::ErrorKind::Interrupted {
+                    return Ok(0);
+                }
+                return Err(err);
+            }
+            let before = events.len();
+            for (p, &token) in self.fds.iter().zip(&self.tokens) {
+                if p.revents == 0 {
+                    continue;
+                }
+                events.push(PollEvent {
+                    token,
+                    readable: p.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0,
+                    writable: p.revents & POLLOUT != 0,
+                });
+            }
+            Ok(events.len() - before)
         }
     }
 }
 
-pub use imp::Poller;
+#[cfg(target_os = "linux")]
+pub use epoll::Poller;
+#[cfg(all(unix, not(target_os = "linux")))]
+pub use poll::Poller;
 
-#[cfg(all(test, target_os = "linux"))]
+/// The backend tests run against every backend the build compiles: both
+/// on Linux, `poll(2)` alone elsewhere.
+#[cfg(test)]
+macro_rules! poller_tests {
+    ($backend:ident) => {
+        mod $backend {
+            use super::super::$backend::Poller;
+            use std::io::{Read, Write};
+            use std::net::{TcpListener, TcpStream};
+            use std::os::fd::AsRawFd;
+            use std::time::Duration;
+
+            #[test]
+            fn listener_becomes_readable_on_connect() {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                listener.set_nonblocking(true).unwrap();
+                let mut poller = Poller::new().unwrap();
+                poller.add(listener.as_raw_fd(), 7, false).unwrap();
+
+                let mut events = Vec::new();
+                let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
+                assert_eq!(n, 0, "no pending connection → timeout with no events");
+
+                let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let n = poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+                assert_eq!(n, 1);
+                assert_eq!(events[0].token, 7);
+                assert!(events[0].readable);
+                assert!(!events[0].writable);
+            }
+
+            #[test]
+            fn stream_reports_read_and_write_readiness() {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let (mut server_side, _) = listener.accept().unwrap();
+                client.set_nonblocking(true).unwrap();
+
+                let mut poller = Poller::new().unwrap();
+                // Write interest on an idle connected socket fires immediately
+                // (the send buffer is empty).
+                poller.add(client.as_raw_fd(), 1, true).unwrap();
+                let mut events = Vec::new();
+                poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+                assert!(events.iter().any(|e| e.token == 1 && e.writable));
+
+                // Drop write interest, then make the socket readable.
+                poller.modify(client.as_raw_fd(), 1, false).unwrap();
+                server_side.write_all(b"ping").unwrap();
+                events.clear();
+                poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+                assert!(events.iter().any(|e| e.token == 1 && e.readable && !e.writable));
+
+                // Level-triggered: unread bytes keep the fd ready.
+                events.clear();
+                poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+                assert!(events.iter().any(|e| e.token == 1 && e.readable));
+
+                let mut sink = [0u8; 8];
+                let mut reader = &client;
+                assert_eq!(reader.read(&mut sink).unwrap(), 4);
+                events.clear();
+                let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
+                assert_eq!(n, 0, "drained socket is quiet again");
+            }
+
+            #[test]
+            fn peer_close_is_reported_as_readable() {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let (server_side, _) = listener.accept().unwrap();
+                client.set_nonblocking(true).unwrap();
+
+                let mut poller = Poller::new().unwrap();
+                poller.add(client.as_raw_fd(), 3, false).unwrap();
+                drop(server_side);
+                let mut events = Vec::new();
+                poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+                assert!(
+                    events.iter().any(|e| e.token == 3 && e.readable),
+                    "hangup must surface as readability so the read path sees EOF"
+                );
+            }
+
+            #[test]
+            fn remove_stops_delivery() {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                listener.set_nonblocking(true).unwrap();
+                let mut poller = Poller::new().unwrap();
+                poller.add(listener.as_raw_fd(), 9, false).unwrap();
+                poller.remove(listener.as_raw_fd()).unwrap();
+                let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let mut events = Vec::new();
+                let n = poller.wait(&mut events, Some(Duration::from_millis(50))).unwrap();
+                assert_eq!(n, 0, "deregistered fds deliver nothing");
+            }
+
+            #[test]
+            fn exclusive_listener_registration_is_accepted() {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                listener.set_nonblocking(true).unwrap();
+                let mut poller = Poller::new().unwrap();
+                poller.add_exclusive(listener.as_raw_fd(), 4).unwrap();
+                let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let mut events = Vec::new();
+                poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+                assert!(events.iter().any(|e| e.token == 4 && e.readable));
+            }
+        }
+    };
+}
+
+#[cfg(test)]
 mod tests {
-    use super::*;
-    use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
-    use std::time::Duration;
-
-    #[test]
-    fn listener_becomes_readable_on_connect() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let mut poller = Poller::new().unwrap();
-        poller.add(listener.as_raw_fd(), 7, false).unwrap();
-
-        let mut events = Vec::new();
-        let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
-        assert_eq!(n, 0, "no pending connection → timeout with no events");
-
-        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let n = poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
-        assert!(!events[0].writable);
-    }
-
-    #[test]
-    fn stream_reports_read_and_write_readiness() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut server_side, _) = listener.accept().unwrap();
-        client.set_nonblocking(true).unwrap();
-
-        let mut poller = Poller::new().unwrap();
-        // Write interest on an idle connected socket fires immediately
-        // (the send buffer is empty).
-        poller.add(client.as_raw_fd(), 1, true).unwrap();
-        let mut events = Vec::new();
-        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-        assert!(events.iter().any(|e| e.token == 1 && e.writable));
-
-        // Drop write interest, then make the socket readable.
-        poller.modify(client.as_raw_fd(), 1, false).unwrap();
-        server_side.write_all(b"ping").unwrap();
-        events.clear();
-        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-        assert!(events.iter().any(|e| e.token == 1 && e.readable && !e.writable));
-
-        // Level-triggered: unread bytes keep the fd ready.
-        events.clear();
-        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-        assert!(events.iter().any(|e| e.token == 1 && e.readable));
-
-        let mut sink = [0u8; 8];
-        let mut reader = &client;
-        assert_eq!(reader.read(&mut sink).unwrap(), 4);
-        events.clear();
-        let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
-        assert_eq!(n, 0, "drained socket is quiet again");
-    }
-
-    #[test]
-    fn peer_close_is_reported_as_readable() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        client.set_nonblocking(true).unwrap();
-
-        let mut poller = Poller::new().unwrap();
-        poller.add(client.as_raw_fd(), 3, false).unwrap();
-        drop(server_side);
-        let mut events = Vec::new();
-        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-        assert!(
-            events.iter().any(|e| e.token == 3 && e.readable),
-            "hangup must surface as readability so the read path sees EOF"
-        );
-    }
-
-    #[test]
-    fn remove_stops_delivery() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let mut poller = Poller::new().unwrap();
-        poller.add(listener.as_raw_fd(), 9, false).unwrap();
-        poller.remove(listener.as_raw_fd()).unwrap();
-        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let mut events = Vec::new();
-        let n = poller.wait(&mut events, Some(Duration::from_millis(50))).unwrap();
-        assert_eq!(n, 0, "deregistered fds deliver nothing");
-    }
-
-    #[test]
-    fn exclusive_listener_registration_is_accepted() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let mut poller = Poller::new().unwrap();
-        poller.add_exclusive(listener.as_raw_fd(), 4).unwrap();
-        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let mut events = Vec::new();
-        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-        assert!(events.iter().any(|e| e.token == 4 && e.readable));
-        assert!(Poller::is_native());
-    }
+    #[cfg(target_os = "linux")]
+    poller_tests!(epoll);
+    #[cfg(unix)]
+    poller_tests!(poll);
 }

@@ -175,7 +175,7 @@ impl ChaosProxy {
         });
         let acceptor = {
             let inner = Arc::clone(&inner);
-            std::thread::spawn(move || accept_loop(&inner, &listener))
+            std::thread::spawn(move || proxy_accept_loop(&inner, &listener))
         };
         Ok(ChaosProxy { inner, acceptor: Some(acceptor) })
     }
@@ -243,7 +243,7 @@ impl Drop for ChaosProxy {
     }
 }
 
-fn accept_loop(inner: &Arc<ProxyInner>, listener: &TcpListener) {
+fn proxy_accept_loop(inner: &Arc<ProxyInner>, listener: &TcpListener) {
     loop {
         let client = match listener.accept() {
             Ok((stream, _)) => stream,

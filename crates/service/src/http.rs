@@ -135,11 +135,6 @@ impl<S> HttpConn<S> {
     pub fn stream_mut(&mut self) -> &mut S {
         &mut self.stream
     }
-
-    /// Whether unread bytes are already buffered (a pipelined message).
-    pub fn has_buffered(&self) -> bool {
-        self.consumed < self.filled
-    }
 }
 
 impl<S: Read> HttpConn<S> {
@@ -318,6 +313,20 @@ pub fn parse_request_buffer(
     }
     let body = buf[head_len..head_len + body_len].to_vec();
     Ok(Some((HttpRequest { method, target, http11, headers, body }, head_len + body_len)))
+}
+
+/// The reason phrase for `status`: every status the node sends or the
+/// router relays, and a generic phrase for anything else.
+pub(crate) fn reason(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        409 => "Conflict",
+        413 => "Payload Too Large",
+        503 => "Service Unavailable",
+        _ => "Status",
+    }
 }
 
 /// Serializes a response message onto `out` — head and body in one

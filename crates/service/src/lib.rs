@@ -22,8 +22,7 @@
 //! write-ahead logs + atomic snapshots over a fault-injectable write
 //! layer), [`world`] is the embedded deterministic site population,
 //! [`metrics`] is the atomic registry, [`server`] wires them behind the
-//! sharded readiness loop (falling back to a bounded-queue worker pool
-//! where no native poller exists), and [`loadgen`] is the seeded
+//! sharded readiness loop, and [`loadgen`] is the seeded
 //! closed-loop client that benchmarks the whole stack.
 //!
 //! Cluster mode layers on top: [`replication`] ships every applied WAL

@@ -6,9 +6,9 @@
 //!
 //! ```text
 //! cp_requests_total{endpoint="visit"} 9000
-//! cp_request_duration_micros_bucket{endpoint="visit",le="1000"} 4123
+//! cp_request_micros_bucket{route="visit",le="1024"} 4123
 //! cp_decisions_total{verdict="useful"} 211
-//! cp_queue_depth 0
+//! cp_ready_conns 0
 //! ```
 
 use std::fmt::Write as _;
@@ -30,9 +30,10 @@ pub const SITE_DERIVE_RESULTS: [&str; 3] = ["hit", "miss", "unknown"];
 /// `cause` label values for `cp_conn_closed_total`, in rendering order.
 /// `client` covers clean peer closes and client-requested closes
 /// (HTTP/1.0, `Connection: close`); `timeout` a stalled read (slowloris,
-/// half-sent body); `error` protocol violations (400/413); `shed` the
-/// acceptor's inline 503; `drain` keep-alives ended by shutdown;
-/// `write_failed` a response the peer stopped reading.
+/// half-sent body); `error` protocol violations (400/413), 5xx responses
+/// and transport faults; `shed` the admission cap's inline 503; `drain`
+/// keep-alives ended by shutdown; `write_failed` a response the peer
+/// stopped reading.
 pub const CONN_CLOSE_CAUSES: [&str; 6] =
     ["client", "timeout", "error", "shed", "drain", "write_failed"];
 
@@ -101,15 +102,6 @@ impl Endpoint {
     }
 }
 
-/// One endpoint's request counter + latency histogram.
-#[derive(Debug, Default)]
-pub struct EndpointSeries {
-    /// Requests routed to this endpoint.
-    pub requests: Counter,
-    /// Handling latency (request parsed → response built), in microseconds.
-    pub latency: Histogram,
-}
-
 /// Bucket bounds for the detection-time histogram, in microseconds. Powers
 /// of two: detection times span roughly three orders of magnitude between
 /// a cache-hit re-comparison and a cold parse of a large page, and
@@ -148,9 +140,10 @@ pub const MAX_REPL_PEERS: usize = 8;
 /// The server's metric registry.
 #[derive(Debug)]
 pub struct ServiceMetrics {
-    endpoints: [EndpointSeries; 10],
+    /// Requests routed to each endpoint, indexed like [`Endpoint::ALL`].
+    requests: [Counter; 10],
     /// Per-route request time in power-of-two buckets
-    /// ([`REQUEST_BUCKETS_MICROS`]), indexed like `endpoints`.
+    /// ([`REQUEST_BUCKETS_MICROS`]), indexed like `requests`.
     request_micros: [Histogram; 10],
     /// Event-loop wakeups (`epoll_wait` returns with ≥1 event).
     pub event_loop_wakeups: Counter,
@@ -179,11 +172,9 @@ pub struct ServiceMetrics {
     /// Time to derive one site from the universe (cache misses only), in
     /// microseconds.
     pub site_derive_micros: Histogram,
-    /// Connections queued for a worker right now.
-    pub queue_depth: Gauge,
     /// Connections accepted over the server's lifetime.
     pub connections_total: Counter,
-    /// Connections rejected because the accept queue was full.
+    /// Connections rejected because the admission cap was reached.
     pub rejected_total: Counter,
     /// Hidden-fetch outcomes by result, indexed by [`HIDDEN_FETCH_RESULTS`].
     hidden_fetch: [Counter; 6],
@@ -278,7 +269,7 @@ impl ServiceMetrics {
     /// Creates a zeroed registry.
     pub fn new() -> Self {
         ServiceMetrics {
-            endpoints: Default::default(),
+            requests: Default::default(),
             request_micros: std::array::from_fn(|_| {
                 Histogram::with_bounds(&REQUEST_BUCKETS_MICROS)
             }),
@@ -294,7 +285,6 @@ impl ServiceMetrics {
             cache_misses: Counter::new(),
             site_derive: Default::default(),
             site_derive_micros: Histogram::with_bounds(&DETECTION_BUCKETS_MICROS),
-            queue_depth: Gauge::new(),
             connections_total: Counter::new(),
             rejected_total: Counter::new(),
             hidden_fetch: Default::default(),
@@ -335,9 +325,9 @@ impl ServiceMetrics {
         }
     }
 
-    /// The series for `endpoint`.
-    pub fn endpoint(&self, endpoint: Endpoint) -> &EndpointSeries {
-        &self.endpoints[endpoint.index()]
+    /// The request counter for `endpoint`.
+    pub fn requests(&self, endpoint: Endpoint) -> &Counter {
+        &self.requests[endpoint.index()]
     }
 
     /// The power-of-two request-time histogram for `endpoint`.
@@ -347,9 +337,7 @@ impl ServiceMetrics {
 
     /// Records one handled request.
     pub fn record(&self, endpoint: Endpoint, status: u16, micros: u64) {
-        let series = self.endpoint(endpoint);
-        series.requests.inc();
-        series.latency.observe(micros);
+        self.requests[endpoint.index()].inc();
         self.request_micros[endpoint.index()].observe(micros);
         match status {
             200..=299 => self.responses_2xx.inc(),
@@ -511,62 +499,13 @@ impl ServiceMetrics {
                 out,
                 "cp_requests_total{{endpoint=\"{}\"}} {}",
                 e.label(),
-                self.endpoint(e).requests.get()
-            );
-        }
-        out.push_str("# TYPE cp_request_duration_micros histogram\n");
-        for e in Endpoint::ALL {
-            let series = self.endpoint(e);
-            if series.requests.get() == 0 {
-                continue; // keep the exposition small: no series for idle endpoints
-            }
-            for (bound, cumulative) in series.latency.snapshot() {
-                let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
-                let _ = writeln!(
-                    out,
-                    "cp_request_duration_micros_bucket{{endpoint=\"{}\",le=\"{le}\"}} {cumulative}",
-                    e.label()
-                );
-            }
-            let _ = writeln!(
-                out,
-                "cp_request_duration_micros_sum{{endpoint=\"{}\"}} {}",
-                e.label(),
-                series.latency.sum_micros()
-            );
-            let _ = writeln!(
-                out,
-                "cp_request_duration_micros_count{{endpoint=\"{}\"}} {}",
-                e.label(),
-                series.latency.count()
+                self.requests(e).get()
             );
         }
         out.push_str("# TYPE cp_request_micros histogram\n");
         for e in Endpoint::ALL {
-            let hist = self.request_micros(e);
-            if hist.count() == 0 {
-                continue; // idle-histogram rule: no buckets until observed
-            }
-            for (bound, cumulative) in hist.snapshot() {
-                let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
-                let _ = writeln!(
-                    out,
-                    "cp_request_micros_bucket{{route=\"{}\",le=\"{le}\"}} {cumulative}",
-                    e.label()
-                );
-            }
-            let _ = writeln!(
-                out,
-                "cp_request_micros_sum{{route=\"{}\"}} {}",
-                e.label(),
-                hist.sum_micros()
-            );
-            let _ = writeln!(
-                out,
-                "cp_request_micros_count{{route=\"{}\"}} {}",
-                e.label(),
-                hist.count()
-            );
+            let route = format!("route=\"{}\"", e.label());
+            render_histogram(&mut out, "cp_request_micros", &route, self.request_micros(e));
         }
         out.push_str("# TYPE cp_responses_total counter\n");
         for (class, counter) in [
@@ -585,14 +524,7 @@ impl ServiceMetrics {
         let _ =
             writeln!(out, "cp_decisions_total{{verdict=\"noise\"}} {}", self.decisions_noise.get());
         out.push_str("# TYPE cp_detection_micros histogram\n");
-        if self.detection.count() > 0 {
-            for (bound, cumulative) in self.detection.snapshot() {
-                let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
-                let _ = writeln!(out, "cp_detection_micros_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "cp_detection_micros_sum {}", self.detection.sum_micros());
-            let _ = writeln!(out, "cp_detection_micros_count {}", self.detection.count());
-        }
+        render_histogram(&mut out, "cp_detection_micros", "", &self.detection);
         out.push_str("# TYPE cp_hidden_fetch_total counter\n");
         for (label, counter) in HIDDEN_FETCH_RESULTS.iter().zip(&self.hidden_fetch) {
             let _ = writeln!(out, "cp_hidden_fetch_total{{result=\"{label}\"}} {}", counter.get());
@@ -605,10 +537,8 @@ impl ServiceMetrics {
                 counter.get()
             );
         }
-        out.push_str("# TYPE cp_retry_total counter\n");
-        let _ = writeln!(out, "cp_retry_total {}", self.retry_total.get());
-        out.push_str("# TYPE cp_deadline_exceeded_total counter\n");
-        let _ = writeln!(out, "cp_deadline_exceeded_total {}", self.deadline_exceeded_total.get());
+        counter(&mut out, "cp_retry_total", self.retry_total.get());
+        counter(&mut out, "cp_deadline_exceeded_total", self.deadline_exceeded_total.get());
         out.push_str("# TYPE cp_analysis_cache_total counter\n");
         let _ =
             writeln!(out, "cp_analysis_cache_total{{result=\"hit\"}} {}", self.cache_hits.get());
@@ -619,41 +549,18 @@ impl ServiceMetrics {
             let _ = writeln!(out, "cp_site_derive_total{{result=\"{label}\"}} {}", counter.get());
         }
         out.push_str("# TYPE cp_site_derive_micros histogram\n");
-        if self.site_derive_micros.count() > 0 {
-            for (bound, cumulative) in self.site_derive_micros.snapshot() {
-                let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
-                let _ = writeln!(out, "cp_site_derive_micros_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ =
-                writeln!(out, "cp_site_derive_micros_sum {}", self.site_derive_micros.sum_micros());
-            let _ =
-                writeln!(out, "cp_site_derive_micros_count {}", self.site_derive_micros.count());
-        }
-        out.push_str("# TYPE cp_queue_depth gauge\n");
-        let _ = writeln!(out, "cp_queue_depth {}", self.queue_depth.get());
-        out.push_str("# TYPE cp_ready_conns gauge\n");
-        let _ = writeln!(out, "cp_ready_conns {}", self.ready_conns.get());
-        out.push_str("# TYPE cp_event_loop_wakeups_total counter\n");
-        let _ = writeln!(out, "cp_event_loop_wakeups_total {}", self.event_loop_wakeups.get());
-        out.push_str("# TYPE cp_connections_total counter\n");
-        let _ = writeln!(out, "cp_connections_total {}", self.connections_total.get());
-        out.push_str("# TYPE cp_rejected_total counter\n");
-        let _ = writeln!(out, "cp_rejected_total {}", self.rejected_total.get());
+        render_histogram(&mut out, "cp_site_derive_micros", "", &self.site_derive_micros);
+        gauge(&mut out, "cp_ready_conns", self.ready_conns.get());
+        counter(&mut out, "cp_event_loop_wakeups_total", self.event_loop_wakeups.get());
+        counter(&mut out, "cp_connections_total", self.connections_total.get());
+        counter(&mut out, "cp_rejected_total", self.rejected_total.get());
         out.push_str("# TYPE cp_conn_closed_total counter\n");
         for (label, counter) in CONN_CLOSE_CAUSES.iter().zip(&self.conn_closed) {
             let _ = writeln!(out, "cp_conn_closed_total{{cause=\"{label}\"}} {}", counter.get());
         }
-        out.push_str("# TYPE cp_wal_records_total counter\n");
-        let _ = writeln!(out, "cp_wal_records_total {}", self.wal_records_total.get());
+        counter(&mut out, "cp_wal_records_total", self.wal_records_total.get());
         out.push_str("# TYPE cp_wal_fsync_micros histogram\n");
-        if self.wal_fsync.count() > 0 {
-            for (bound, cumulative) in self.wal_fsync.snapshot() {
-                let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
-                let _ = writeln!(out, "cp_wal_fsync_micros_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "cp_wal_fsync_micros_sum {}", self.wal_fsync.sum_micros());
-            let _ = writeln!(out, "cp_wal_fsync_micros_count {}", self.wal_fsync.count());
-        }
+        render_histogram(&mut out, "cp_wal_fsync_micros", "", &self.wal_fsync);
         out.push_str("# TYPE cp_snapshot_total counter\n");
         for (result, counter) in ["ok", "error"].iter().zip(&self.snapshot) {
             let _ = writeln!(out, "cp_snapshot_total{{result=\"{result}\"}} {}", counter.get());
@@ -678,92 +585,59 @@ impl ServiceMetrics {
                 self.repl_peer_up[peer].get()
             );
         }
-        out.push_str("# TYPE cp_repl_lag_records gauge\n");
-        let _ = writeln!(out, "cp_repl_lag_records {}", self.repl_lag_records.get());
-        out.push_str("# TYPE cp_repl_resync_total counter\n");
-        let _ = writeln!(out, "cp_repl_resync_total {}", self.repl_resync_total.get());
-        out.push_str("# TYPE cp_repl_resync_records_total counter\n");
-        let _ =
-            writeln!(out, "cp_repl_resync_records_total {}", self.repl_resync_records_total.get());
-        out.push_str("# TYPE cp_repl_slow_demotions_total counter\n");
-        let _ =
-            writeln!(out, "cp_repl_slow_demotions_total {}", self.repl_slow_demotions_total.get());
-        out.push_str("# TYPE cp_repl_bootstrap_hints_total counter\n");
-        let _ = writeln!(
-            out,
-            "cp_repl_bootstrap_hints_total {}",
-            self.repl_bootstrap_hints_total.get()
-        );
-        out.push_str("# TYPE cp_repl_bootstrap_total counter\n");
-        let _ = writeln!(out, "cp_repl_bootstrap_total {}", self.repl_bootstrap_total.get());
-        out.push_str("# TYPE cp_repl_ack_stall_max_micros gauge\n");
-        let _ =
-            writeln!(out, "cp_repl_ack_stall_max_micros {}", self.repl_ack_stall_max_micros.get());
+        gauge(&mut out, "cp_repl_lag_records", self.repl_lag_records.get());
+        counter(&mut out, "cp_repl_resync_total", self.repl_resync_total.get());
+        counter(&mut out, "cp_repl_resync_records_total", self.repl_resync_records_total.get());
+        counter(&mut out, "cp_repl_slow_demotions_total", self.repl_slow_demotions_total.get());
+        counter(&mut out, "cp_repl_bootstrap_hints_total", self.repl_bootstrap_hints_total.get());
+        counter(&mut out, "cp_repl_bootstrap_total", self.repl_bootstrap_total.get());
+        gauge(&mut out, "cp_repl_ack_stall_max_micros", self.repl_ack_stall_max_micros.get());
         out.push_str("# TYPE cp_repl_ack_micros histogram\n");
-        if self.repl_ack_micros.count() > 0 {
-            for (bound, cumulative) in self.repl_ack_micros.snapshot() {
-                let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
-                let _ = writeln!(out, "cp_repl_ack_micros_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "cp_repl_ack_micros_sum {}", self.repl_ack_micros.sum_micros());
-            let _ = writeln!(out, "cp_repl_ack_micros_count {}", self.repl_ack_micros.count());
-        }
-        out.push_str("# TYPE cp_failover_total counter\n");
-        let _ = writeln!(out, "cp_failover_total {}", self.failover_total.get());
-        out.push_str("# TYPE cp_route_read_failover_total counter\n");
-        let _ =
-            writeln!(out, "cp_route_read_failover_total {}", self.route_read_failover_total.get());
-        out.push_str("# TYPE cp_route_resyncs_observed gauge\n");
-        let _ = writeln!(out, "cp_route_resyncs_observed {}", self.route_resyncs_observed.get());
-        out.push_str("# TYPE cp_route_max_ack_stall_micros gauge\n");
-        let _ = writeln!(
-            out,
-            "cp_route_max_ack_stall_micros {}",
-            self.route_max_ack_stall_micros.get()
-        );
-        out.push_str("# TYPE cp_crawl_frontier_depth gauge\n");
-        let _ = writeln!(out, "cp_crawl_frontier_depth {}", self.crawl_frontier_depth.get());
-        out.push_str("# TYPE cp_crawl_visits_total counter\n");
-        let _ = writeln!(out, "cp_crawl_visits_total {}", self.crawl_visits_total.get());
-        out.push_str("# TYPE cp_crawl_discovered_total counter\n");
-        let _ = writeln!(out, "cp_crawl_discovered_total {}", self.crawl_discovered_total.get());
-        out.push_str("# TYPE cp_crawl_inconclusive_total counter\n");
-        let _ =
-            writeln!(out, "cp_crawl_inconclusive_total {}", self.crawl_inconclusive_total.get());
-        out.push_str("# TYPE cp_crawl_backoff_total counter\n");
-        let _ = writeln!(out, "cp_crawl_backoff_total {}", self.crawl_backoff_total.get());
-        out.push_str("# TYPE cp_crawl_unknown_host_total counter\n");
-        let _ =
-            writeln!(out, "cp_crawl_unknown_host_total {}", self.crawl_unknown_host_total.get());
-        out.push_str("# TYPE cp_crawl_expired_marks_total counter\n");
-        let _ =
-            writeln!(out, "cp_crawl_expired_marks_total {}", self.crawl_expired_marks_total.get());
+        render_histogram(&mut out, "cp_repl_ack_micros", "", &self.repl_ack_micros);
+        counter(&mut out, "cp_failover_total", self.failover_total.get());
+        counter(&mut out, "cp_route_read_failover_total", self.route_read_failover_total.get());
+        gauge(&mut out, "cp_route_resyncs_observed", self.route_resyncs_observed.get());
+        gauge(&mut out, "cp_route_max_ack_stall_micros", self.route_max_ack_stall_micros.get());
+        gauge(&mut out, "cp_crawl_frontier_depth", self.crawl_frontier_depth.get());
+        counter(&mut out, "cp_crawl_visits_total", self.crawl_visits_total.get());
+        counter(&mut out, "cp_crawl_discovered_total", self.crawl_discovered_total.get());
+        counter(&mut out, "cp_crawl_inconclusive_total", self.crawl_inconclusive_total.get());
+        counter(&mut out, "cp_crawl_backoff_total", self.crawl_backoff_total.get());
+        counter(&mut out, "cp_crawl_unknown_host_total", self.crawl_unknown_host_total.get());
+        counter(&mut out, "cp_crawl_expired_marks_total", self.crawl_expired_marks_total.get());
         out.push_str("# TYPE cp_crawl_revisit_lag_ticks histogram\n");
-        if self.crawl_revisit_lag.count() > 0 {
-            for (bound, cumulative) in self.crawl_revisit_lag.snapshot() {
-                let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
-                let _ =
-                    writeln!(out, "cp_crawl_revisit_lag_ticks_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(
-                out,
-                "cp_crawl_revisit_lag_ticks_sum {}",
-                self.crawl_revisit_lag.sum_micros()
-            );
-            let _ = writeln!(
-                out,
-                "cp_crawl_revisit_lag_ticks_count {}",
-                self.crawl_revisit_lag.count()
-            );
-        }
-        out.push_str("# TYPE cp_recovery_records_replayed gauge\n");
-        let _ =
-            writeln!(out, "cp_recovery_records_replayed {}", self.recovery_records_replayed.get());
-        out.push_str("# TYPE cp_recovery_torn_tail_bytes gauge\n");
-        let _ =
-            writeln!(out, "cp_recovery_torn_tail_bytes {}", self.recovery_torn_tail_bytes.get());
+        render_histogram(&mut out, "cp_crawl_revisit_lag_ticks", "", &self.crawl_revisit_lag);
+        gauge(&mut out, "cp_recovery_records_replayed", self.recovery_records_replayed.get());
+        gauge(&mut out, "cp_recovery_torn_tail_bytes", self.recovery_torn_tail_bytes.get());
         out
     }
+}
+
+/// Appends an unlabelled counter with its `# TYPE` line.
+fn counter(out: &mut String, name: &str, value: u64) {
+    let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
+}
+
+/// Appends an unlabelled gauge with its `# TYPE` line.
+fn gauge(out: &mut String, name: &str, value: i64) {
+    let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
+}
+
+/// Appends a histogram's `_bucket`, `_sum` and `_count` lines, each
+/// carrying `label` (e.g. `route="visit"`, or empty for none). An idle
+/// histogram renders nothing: no buckets until observed.
+fn render_histogram(out: &mut String, name: &str, label: &str, hist: &Histogram) {
+    if hist.count() == 0 {
+        return;
+    }
+    let (sep, braced) =
+        if label.is_empty() { ("", String::new()) } else { (",", format!("{{{label}}}")) };
+    for (bound, cumulative) in hist.snapshot() {
+        let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
+        let _ = writeln!(out, "{name}_bucket{{{label}{sep}le=\"{le}\"}} {cumulative}");
+    }
+    let _ = writeln!(out, "{name}_sum{braced} {}", hist.sum_micros());
+    let _ = writeln!(out, "{name}_count{braced} {}", hist.count());
 }
 
 /// Parses a counter value out of a Prometheus exposition, e.g.
@@ -832,11 +706,11 @@ mod tests {
         m.record(Endpoint::Visit, 200, 500);
         m.record(Endpoint::Visit, 400, 100);
         m.record(Endpoint::Classify, 500, 100);
-        assert_eq!(m.endpoint(Endpoint::Visit).requests.get(), 2);
+        assert_eq!(m.requests(Endpoint::Visit).get(), 2);
         assert_eq!(m.responses_2xx.get(), 1);
         assert_eq!(m.responses_4xx.get(), 1);
         assert_eq!(m.responses_5xx.get(), 1);
-        assert_eq!(m.endpoint(Endpoint::Visit).latency.count(), 2);
+        assert_eq!(m.request_micros(Endpoint::Visit).count(), 2);
     }
 
     #[test]
@@ -846,20 +720,18 @@ mod tests {
         m.record_verdict(true);
         m.record_verdict(false);
         m.record_verdict(false);
-        m.queue_depth.set(3);
+        m.ready_conns.set(3);
         let text = m.render_prometheus();
         assert_eq!(scrape_counter(&text, "cp_requests_total{endpoint=\"healthz\"}"), Some(1));
         assert_eq!(scrape_counter(&text, "cp_requests_total{endpoint=\"visit\"}"), Some(0));
         assert_eq!(scrape_counter(&text, "cp_decisions_total{verdict=\"useful\"}"), Some(1));
         assert_eq!(scrape_counter(&text, "cp_decisions_total{verdict=\"noise\"}"), Some(2));
-        assert_eq!(scrape_counter(&text, "cp_queue_depth"), Some(3));
-        assert!(
-            text.contains("cp_request_duration_micros_bucket{endpoint=\"healthz\",le=\"100\"} 1")
-        );
+        assert_eq!(scrape_counter(&text, "cp_ready_conns"), Some(3));
+        assert!(text.contains("cp_request_micros_bucket{route=\"healthz\",le=\"64\"} 1"));
         assert!(text.contains("le=\"+Inf\""));
         assert_eq!(scrape_counter(&text, "nope"), None);
         // Idle endpoints emit no histogram series.
-        assert!(!text.contains("cp_request_duration_micros_count{endpoint=\"visit\"}"));
+        assert!(!text.contains("cp_request_micros_count{route=\"visit\"}"));
     }
 
     #[test]
@@ -1107,9 +979,6 @@ mod tests {
         assert!(text.contains("cp_request_micros_count{route=\"healthz\"} 2"));
         assert!(!text.contains("cp_request_micros_count{route=\"visit\"}"));
         assert_eq!(m.request_micros(Endpoint::Healthz).count(), 2);
-        // record() feeds both the legacy duration histogram and the new
-        // pow2 one.
-        assert_eq!(m.endpoint(Endpoint::Healthz).latency.count(), 2);
     }
 
     #[test]
@@ -1137,6 +1006,6 @@ mod tests {
             assert!((scraped - native).abs() < 1e-9, "q={q}: {scraped} vs {native}");
         }
         assert_eq!(quantile_from_buckets(&[], 0.5), 0.0);
-        assert!(scrape_histogram(&text, "cp_request_duration_micros").is_empty());
+        assert!(scrape_histogram(&text, "cp_request_micros").is_empty());
     }
 }

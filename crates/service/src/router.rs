@@ -22,11 +22,20 @@
 //! A proxy failure is answered `503 backend unavailable` — the client
 //! retries through its normal budget and lands on the promoted primary
 //! once the heartbeat loop has fenced the dead one.
+//!
+//! The router serves from the same event-loop shards as a node
+//! ([`crate::eventloop`]): `workers` shards, each keeping its own
+//! keep-alive upstream [`Client`] per backend. The upstream call is
+//! blocking, so a shard waits on it just as a thread-per-connection
+//! worker would, and the other connections on that shard wait with it;
+//! the `Client`'s 10 s read and write timeouts bound the wait. The
+//! shards therefore balance accepts (`Service::BALANCE_ACCEPTS`), so
+//! connections spread over them instead of doubling up on one.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -34,7 +43,8 @@ use std::time::{Duration, Instant};
 use cp_runtime::json::Json;
 use cp_runtime::sync::Mutex;
 
-use crate::http::{write_response, HttpConn, HttpError, HttpRequest, Limits};
+use crate::eventloop::{Routed, Service};
+use crate::http::{HttpRequest, Limits};
 use crate::loadgen::Client;
 use crate::metrics::{Endpoint, ServiceMetrics};
 use crate::replication::ReplAckPolicy;
@@ -47,6 +57,13 @@ const RING_POINTS: usize = 64;
 /// Attempts (100 ms apart) to lead backend 0 on startup before giving up —
 /// covers backends that are still binding their replication listeners.
 const LEAD_ATTEMPTS: u32 = 50;
+
+/// Connections admitted beyond one per shard; an accept past
+/// `workers + ADMISSION_QUEUE` open connections is answered `503`.
+const ADMISSION_QUEUE: usize = 128;
+
+/// Read and write timeout of the connections clients open to the router.
+const CONN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One backend's two addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,7 +110,7 @@ pub struct RouterConfig {
     pub host: String,
     /// Port to bind; `0` picks a free port.
     pub port: u16,
-    /// Worker threads proxying connections.
+    /// Event-loop shards (threads) serving and proxying connections.
     pub workers: usize,
     /// The cluster, in lead-preference order: backend 0 is the initial
     /// primary, the rest its followers.
@@ -173,7 +190,6 @@ impl RouterShared {
 /// A running router. Dropping the handle shuts it down.
 pub struct RouterHandle {
     shared: Arc<RouterShared>,
-    acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -198,11 +214,8 @@ impl RouterHandle {
         self.shared.begin_shutdown();
     }
 
-    /// Blocks until the acceptor, workers, and heartbeat loop have exited.
+    /// Blocks until the shards and the heartbeat loop have exited.
     pub fn wait(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -253,27 +266,43 @@ pub fn start_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
     }
     lead_initial(&shared)?;
 
-    let heartbeat = {
+    let shards = config.workers.max(1);
+    let mut workers = crate::eventloop::spawn(
+        &shared,
+        &listener,
+        shards,
+        shards + ADMISSION_QUEUE,
+        CONN_TIMEOUT,
+        CONN_TIMEOUT,
+        Limits::default(),
+    )?;
+    workers.push({
         let shared = Arc::clone(&shared);
         let interval = config.heartbeat.max(Duration::from_millis(10));
         let threshold = config.miss_threshold.max(1) as u64;
         std::thread::spawn(move || heartbeat_loop(&shared, interval, threshold))
-    };
-    let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(128);
-    let rx = Arc::new(Mutex::new(rx));
-    let mut workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            let rx = Arc::clone(&rx);
-            std::thread::spawn(move || worker_loop(&shared, &rx))
-        })
-        .collect();
-    workers.push(heartbeat);
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || accept_loop(&shared, &listener, &tx))
-    };
-    Ok(RouterHandle { shared, acceptor: Some(acceptor), workers })
+    });
+    Ok(RouterHandle { shared, workers })
+}
+
+impl Service for RouterShared {
+    /// Keep-alive upstream clients by backend index. A failed backend's
+    /// client is dropped so the next request dials fresh.
+    type ShardState = HashMap<usize, Client>;
+    /// The upstream call blocks its shard.
+    const BALANCE_ACCEPTS: bool = true;
+
+    fn route(&self, clients: &mut HashMap<usize, Client>, request: &HttpRequest) -> Routed {
+        route(self, clients, request)
+    }
+
+    fn metrics(&self) -> &ServiceMetrics {
+        &self.metrics
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.shutting_down.load(Ordering::SeqCst)
+    }
 }
 
 /// Leads backend 0 at generation 1 with every other backend as a
@@ -337,18 +366,7 @@ fn ring_route(
     key: &[u8],
     fallback: usize,
 ) -> usize {
-    if ring.is_empty() {
-        return fallback;
-    }
-    let hash = ring_hash(key);
-    let start = ring.partition_point(|(point, _)| *point < hash) % ring.len();
-    for step in 0..ring.len() {
-        let (_, idx) = ring[(start + step) % ring.len()];
-        if states[idx].alive.load(Ordering::Acquire) {
-            return idx;
-        }
-    }
-    fallback
+    ring_next(ring, states, key, None).unwrap_or(fallback)
 }
 
 /// The first alive backend clockwise from the key's hash that is NOT
@@ -358,20 +376,14 @@ fn ring_next(
     ring: &[(u64, usize)],
     states: &[BackendState],
     key: &[u8],
-    skip: usize,
+    skip: Option<usize>,
 ) -> Option<usize> {
-    if ring.is_empty() {
-        return None;
-    }
     let hash = ring_hash(key);
-    let start = ring.partition_point(|(point, _)| *point < hash) % ring.len();
-    for step in 0..ring.len() {
-        let (_, idx) = ring[(start + step) % ring.len()];
-        if idx != skip && states[idx].alive.load(Ordering::Acquire) {
-            return Some(idx);
-        }
-    }
-    None
+    let start = ring.partition_point(|(point, _)| *point < hash);
+    let clockwise = ring.iter().cycle().skip(start).take(ring.len());
+    clockwise
+        .map(|&(_, idx)| idx)
+        .find(|&idx| Some(idx) != skip && states[idx].alive.load(Ordering::Acquire))
 }
 
 /// Polls every backend's `/healthz`, tallies misses, and promotes when the
@@ -477,133 +489,13 @@ fn try_promote(shared: &Arc<RouterShared>, clients: &mut HashMap<usize, Client>)
     }
 }
 
-fn accept_loop(shared: &RouterShared, listener: &TcpListener, tx: &SyncSender<TcpStream>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) if shared.shutting_down.load(Ordering::SeqCst) => break,
-            Err(_) => continue,
-        };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        shared.metrics.connections_total.inc();
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-        let _ = stream.set_nodelay(true);
-        match tx.try_send(stream) {
-            Ok(()) => shared.metrics.queue_depth.inc(),
-            Err(TrySendError::Full(mut stream)) => {
-                shared.metrics.rejected_total.inc();
-                shared.metrics.record_conn_closed("shed");
-                let body = br#"{"error":"router overloaded"}"#;
-                let _ = write_response(
-                    &mut stream,
-                    503,
-                    "Service Unavailable",
-                    "application/json",
-                    body,
-                    false,
-                );
-            }
-            Err(TrySendError::Disconnected(_)) => break,
-        }
-    }
-}
-
-fn worker_loop(shared: &RouterShared, rx: &Mutex<Receiver<TcpStream>>) {
-    // Backend clients are cached per worker: the proxy path reuses
-    // keep-alive connections, and a failed backend's client is dropped so
-    // the next request dials fresh.
-    let mut clients: HashMap<usize, Client> = HashMap::new();
-    loop {
-        let stream = rx.lock().recv();
-        match stream {
-            Ok(stream) => {
-                shared.metrics.queue_depth.dec();
-                handle_connection(shared, &mut clients, stream);
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn handle_connection(
-    shared: &RouterShared,
-    clients: &mut HashMap<usize, Client>,
-    stream: TcpStream,
-) {
-    let mut conn = HttpConn::new(stream, Limits::default());
-    loop {
-        let request = match conn.read_request() {
-            Ok(request) => request,
-            Err(HttpError::Closed) => {
-                shared.metrics.record_conn_closed("client");
-                return;
-            }
-            Err(HttpError::Io(_)) => {
-                shared.metrics.record_conn_closed("error");
-                return;
-            }
-            Err(err) => {
-                shared.metrics.record(Endpoint::Other, 400, 0);
-                let body = Json::object().set("error", err.to_string()).to_compact();
-                let _ = write_response(
-                    conn.stream_mut(),
-                    400,
-                    "Bad Request",
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                );
-                shared.metrics.record_conn_closed("error");
-                return;
-            }
-        };
-        let started = Instant::now();
-        let (endpoint, status, content_type, body) = route(shared, clients, &request);
-        let draining = shared.shutting_down.load(Ordering::SeqCst);
-        let keep_alive = request.keep_alive() && !draining && status < 500;
-        shared.metrics.record(endpoint, status, started.elapsed().as_micros() as u64);
-        let write_ok = write_response(
-            conn.stream_mut(),
-            status,
-            reason_for(status),
-            &content_type,
-            &body,
-            keep_alive,
-        )
-        .is_ok();
-        if !write_ok {
-            shared.metrics.record_conn_closed("write_failed");
-            return;
-        }
-        if !keep_alive {
-            shared.metrics.record_conn_closed(if draining { "drain" } else { "client" });
-            return;
-        }
-    }
-}
-
-fn reason_for(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        409 => "Conflict",
-        413 => "Payload Too Large",
-        503 => "Service Unavailable",
-        _ => "Status",
-    }
-}
-
 /// Routes one request: router-local endpoints answer directly, everything
 /// else proxies to the backend the routing table picks.
 fn route(
     shared: &RouterShared,
     clients: &mut HashMap<usize, Client>,
     request: &HttpRequest,
-) -> (Endpoint, u16, String, Vec<u8>) {
+) -> Routed {
     let method = request.method.as_str();
     let target = request.target.as_str();
     let primary = shared.primary.load(Ordering::Acquire);
@@ -626,16 +518,17 @@ fn route(
                 .set("max_ack_stall_micros", shared.metrics.route_max_ack_stall_micros.get())
                 .set("read_failovers", shared.metrics.route_read_failover_total.get())
                 .to_compact();
-            (Endpoint::Healthz, 200, "application/json".to_string(), body.into_bytes())
+            Routed::json(Endpoint::Healthz, 200, body.into_bytes())
         }
         ("GET", "/metrics") => {
             let body = shared.metrics.render_prometheus().into_bytes();
-            (Endpoint::Metrics, 200, "text/plain; version=0.0.4".to_string(), body)
+            let content_type = Cow::Borrowed("text/plain; version=0.0.4");
+            Routed { endpoint: Endpoint::Metrics, status: 200, content_type, body }
         }
         ("POST", "/v1/shutdown") => {
             shared.begin_shutdown();
             let body = Json::object().set("status", "shutting down").to_compact().into_bytes();
-            (Endpoint::Shutdown, 200, "application/json".to_string(), body)
+            Routed::json(Endpoint::Shutdown, 200, body)
         }
         ("GET", t) if t.starts_with("/v1/sites/") => {
             let host = &t["/v1/sites/".len()..];
@@ -656,7 +549,7 @@ fn route(
             // First successful proxied write after a promotion closes the
             // write blackout — record how long writers were dark.
             if matches!(endpoint, Endpoint::Visit | Endpoint::Expire)
-                && (200..300).contains(&routed.1)
+                && (200..300).contains(&routed.status)
             {
                 if let Some(promoted) = shared.promoted_at.lock().take() {
                     shared
@@ -695,11 +588,11 @@ fn ring_read(
     endpoint: Endpoint,
     request: &HttpRequest,
     primary: usize,
-) -> (Endpoint, u16, String, Vec<u8>) {
+) -> Routed {
     let idx = ring_route(&shared.ring, &shared.states, key, primary);
     match try_proxy(shared, clients, idx, endpoint, request) {
         Ok(routed) => routed,
-        Err(()) => match ring_next(&shared.ring, &shared.states, key, idx) {
+        Err(()) => match ring_next(&shared.ring, &shared.states, key, Some(idx)) {
             Some(next) => {
                 shared.metrics.route_read_failover_total.inc();
                 proxy(shared, clients, next, endpoint, request)
@@ -718,7 +611,7 @@ fn proxy(
     idx: usize,
     endpoint: Endpoint,
     request: &HttpRequest,
-) -> (Endpoint, u16, String, Vec<u8>) {
+) -> Routed {
     try_proxy(shared, clients, idx, endpoint, request).unwrap_or_else(|()| unavailable(endpoint))
 }
 
@@ -731,7 +624,7 @@ fn try_proxy(
     idx: usize,
     endpoint: Endpoint,
     request: &HttpRequest,
-) -> Result<(Endpoint, u16, String, Vec<u8>), ()> {
+) -> Result<Routed, ()> {
     let Some((host, port)) = shared.backends[idx].http_parts() else {
         return Err(());
     };
@@ -742,7 +635,12 @@ fn try_proxy(
         Ok(resp) => {
             let content_type =
                 resp.headers.get("content-type").unwrap_or("application/json").to_string();
-            Ok((endpoint, resp.status, content_type, resp.body))
+            Ok(Routed {
+                endpoint,
+                status: resp.status,
+                content_type: Cow::Owned(content_type),
+                body: resp.body,
+            })
         }
         Err(_) => {
             clients.remove(&idx);
@@ -751,14 +649,16 @@ fn try_proxy(
     }
 }
 
-fn unavailable(endpoint: Endpoint) -> (Endpoint, u16, String, Vec<u8>) {
-    (endpoint, 503, "application/json".to_string(), br#"{"error":"backend unavailable"}"#.to_vec())
+fn unavailable(endpoint: Endpoint) -> Routed {
+    Routed::error(endpoint, 503, "backend unavailable")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{start, ServeConfig};
+    use crate::http::{write_request, HttpConn, HttpError};
+    use crate::server::{start, ServeConfig, ServerHandle};
+    use std::io::Write as _;
 
     #[test]
     fn backend_spec_parsing() {
@@ -815,12 +715,92 @@ mod tests {
         target: &str,
         body: &[u8],
     ) -> crate::http::HttpResponse {
+        let mut conn = connect(addr);
+        write_request(conn.stream_mut(), method, target, &addr.to_string(), body).unwrap();
+        conn.read_response().unwrap()
+    }
+
+    fn connect(addr: SocketAddr) -> HttpConn<TcpStream> {
         let stream = TcpStream::connect(addr).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let mut conn = HttpConn::new(stream, Limits::default());
-        crate::http::write_request(conn.stream_mut(), method, target, &addr.to_string(), body)
+        HttpConn::new(stream, Limits::default())
+    }
+
+    /// One in-memory node and a router leading it.
+    fn single_node_cluster() -> (ServerHandle, RouterHandle) {
+        let node = start(ServeConfig { repl_port: Some(0), ..ServeConfig::default() }).unwrap();
+        let backends = vec![BackendAddr {
+            http: node.addr().to_string(),
+            repl: node.repl_addr().expect("repl listener").to_string(),
+        }];
+        let router =
+            start_router(RouterConfig { workers: 1, backends, ..RouterConfig::default() }).unwrap();
+        (node, router)
+    }
+
+    /// Polls until `cp_conn_closed_total{cause}` reaches `want` (closes
+    /// are recorded on the shard, after the client sees the response).
+    fn await_close_cause(router: &RouterHandle, cause: &str, want: u64) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while router.metrics().conn_closed_count(cause) < want {
+            assert!(Instant::now() < deadline, "no {cause:?} close recorded");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    #[test]
+    fn pipelined_burst_is_answered_in_order() {
+        let (_node, router) = single_node_cluster();
+        let mut conn = connect(router.addr());
+        // Router-local, proxied to the primary, then ring-routed.
+        let host = router.addr().to_string();
+        let mut batch = Vec::new();
+        write_request(&mut batch, "GET", "/healthz", &host, b"").unwrap();
+        write_request(&mut batch, "POST", "/v1/visit", &host, br#"{"host":"news1.example"}"#)
             .unwrap();
-        conn.read_response().unwrap()
+        write_request(&mut batch, "GET", "/v1/sites/news1.example", &host, b"").unwrap();
+        conn.stream_mut().write_all(&batch).unwrap();
+        let first = conn.read_response().unwrap();
+        assert_eq!(first.status, 200);
+        assert!(first.body_string().contains("\"role\":\"router\""), "{}", first.body_string());
+        let second = conn.read_response().unwrap();
+        assert_eq!(second.status, 200, "{}", second.body_string());
+        assert!(second.body_string().contains("\"host\":\"news1.example\""));
+        let third = conn.read_response().unwrap();
+        assert_eq!(third.status, 200, "{}", third.body_string());
+        assert!(third.body_string().contains("probes"), "{}", third.body_string());
+    }
+
+    #[test]
+    fn dead_backend_gets_503_and_closes_as_error() {
+        let (node, router) = single_node_cluster();
+        drop(node); // shuts down and joins: the backend port is closed
+        let before = router.metrics().conn_closed_count("error");
+        let resp = request(router.addr(), "POST", "/v1/visit", br#"{"host":"news1.example"}"#);
+        assert_eq!(resp.status, 503);
+        assert!(resp.body_string().contains("backend unavailable"), "{}", resp.body_string());
+        assert_eq!(resp.headers.get("connection"), Some("close"));
+        await_close_cause(&router, "error", before + 1);
+    }
+
+    #[test]
+    fn malformed_request_gets_400_and_closes() {
+        let (_node, router) = single_node_cluster();
+        let mut conn = connect(router.addr());
+        conn.stream_mut().write_all(b"BOGUS\r\n\r\n").unwrap();
+        assert_eq!(conn.read_response().unwrap().status, 400);
+        assert!(matches!(conn.read_response(), Err(HttpError::Closed)), "connection must close");
+        await_close_cause(&router, "error", 1);
+    }
+
+    #[test]
+    fn router_metrics_count_event_loop_wakeups() {
+        let (_node, router) = single_node_cluster();
+        assert_eq!(request(router.addr(), "GET", "/healthz", b"").status, 200);
+        let text = request(router.addr(), "GET", "/metrics", b"").body_string();
+        let wakeups =
+            crate::metrics::scrape_counter(&text, "cp_event_loop_wakeups_total").unwrap_or(0);
+        assert!(wakeups > 0, "serving a request implies at least one wakeup:\n{text}");
     }
 
     #[test]

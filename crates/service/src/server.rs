@@ -1,36 +1,29 @@
-//! The cp-serve server: serving paths, routing, shutdown.
+//! The cp-serve server: routing, startup, shutdown.
 //!
-//! Two serving paths share the routing layer below:
+//! Requests are served by `workers` event-loop shards
+//! ([`crate::eventloop`]), each running a nonblocking poller over its
+//! slice of connections — no thread per connection, no queue, responses
+//! flushed with single writes. Admission is bounded: `workers` +
+//! `queue_capacity` concurrent connections; beyond that, inline `503`.
+//! This module is the [`Service`] those shards route to.
 //!
-//! * **Readiness loop** (the default, [`crate::eventloop`]): `workers`
-//!   shard threads each run a nonblocking poller over their slice of
-//!   connections — no thread per connection, no queue, responses flushed
-//!   with single writes. Admission is still bounded (`workers` +
-//!   `queue_capacity` concurrent connections; beyond that, inline `503`).
-//! * **Worker pool** (`use_poller: false`, or platforms without a native
-//!   poller): one acceptor thread feeds a *bounded* queue
-//!   (`std::sync::mpsc::sync_channel`); `workers` threads pull
-//!   connections and speak blocking HTTP/1.1 with keep-alive. When the
-//!   queue is full the acceptor answers `503` inline instead of queueing.
-//!
-//! Shutdown is graceful on both paths: the flag flips, a self-connect
-//! wakes the blocked `accept` (or one of the pollers), and each serving
-//! thread finishes what it holds before exiting.
+//! Shutdown is graceful: the flag flips, a self-connect wakes one of the
+//! pollers, and each shard finishes what it holds before exiting.
 
+use std::borrow::Cow;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cookiepicker_core::{decide_analyzed, CookiePickerConfig};
 use cp_runtime::json::{FromJson, Json, ToJson};
-use cp_runtime::sync::Mutex;
 
 use crate::cache::AnalysisCache;
-use crate::http::{write_response, HttpConn, HttpError, HttpRequest, Limits};
+use crate::eventloop::{Routed, Service};
+use crate::http::{HttpRequest, Limits};
 use crate::metrics::{Endpoint, ServiceMetrics};
 use crate::replication::{
     self, ClusterState, ReplAckPolicy, Replicator, Role, DEFAULT_BACKLOG_CAP,
@@ -60,11 +53,12 @@ pub struct ServeConfig {
     /// Derived-site cache capacity — the only per-world memory that scales
     /// with traffic rather than world size.
     pub site_cache_capacity: usize,
-    /// Worker threads handling connections.
+    /// Event-loop shards (threads) serving connections.
     pub workers: usize,
     /// Shards in the training store.
     pub shards: usize,
-    /// Bounded accept-queue capacity; overflow is answered `503`.
+    /// Connections admitted beyond one per shard; an accept past
+    /// `workers + queue_capacity` open connections is answered `503`.
     pub queue_capacity: usize,
     /// Per-connection read timeout.
     pub read_timeout: Duration,
@@ -96,10 +90,6 @@ pub struct ServeConfig {
     pub storage_fault_rate: f64,
     /// Seed for the storage-fault stream (independent of `--seed`).
     pub storage_fault_seed: u64,
-    /// Serve with the sharded readiness loop (the default). When `false` —
-    /// or on platforms without a native poller — connections go through
-    /// the portable acceptor + bounded-queue worker pool instead.
-    pub use_poller: bool,
     /// When set, a replication listener binds this port (0 picks a free
     /// one) and the node can follow a primary's WAL stream.
     pub repl_port: Option<u16>,
@@ -142,7 +132,6 @@ impl Default for ServeConfig {
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
             storage_fault_rate: 0.0,
             storage_fault_seed: 0,
-            use_poller: true,
             repl_port: None,
             repl_ack: ReplAckPolicy::default(),
             repl_followers: Vec::new(),
@@ -152,8 +141,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// State shared by the serving threads (event-loop shards or the
-/// acceptor + workers) and the handle.
+/// State shared by the event-loop shards and the handle.
 pub(crate) struct Shared {
     world: EmbeddedWorld,
     store: ShardedStore,
@@ -176,9 +164,9 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Flips the shutdown flag; the first caller also wakes the acceptor
-    /// out of its blocking `accept` (and the replication listener, if
-    /// any) with throwaway self-connects.
+    /// Flips the shutdown flag; the first caller also wakes a shard out
+    /// of its poll (and the replication listener out of its blocking
+    /// `accept`, if any) with throwaway self-connects.
     fn begin_shutdown(&self) {
         if !self.shutting_down.swap(true, Ordering::SeqCst) {
             let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
@@ -248,7 +236,6 @@ fn repl_accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 /// A running server. Dropping the handle shuts the server down.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -284,18 +271,15 @@ impl ServerHandle {
         self.shared.recovery
     }
 
-    /// Blocks until the acceptor and every worker have exited, then (for
-    /// durable stores) flushes the WALs and writes a final snapshot so a
-    /// clean restart replays zero records. Call
+    /// Blocks until every shard and the replication listener have
+    /// exited, then (for durable stores) flushes the WALs and writes a
+    /// final snapshot so a clean restart replays zero records. Call
     /// [`shutdown`](Self::shutdown) first (or `POST /v1/shutdown`).
     pub fn wait(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // All workers are gone: no more mutations. Retire the replicator
+        // All shards are gone: no more mutations. Retire the replicator
         // first (its maintenance thread exits) so nothing redials peers
         // while the process winds down, then checkpoint.
         self.shared.store.set_replicator(None);
@@ -373,189 +357,43 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     if !config.repl_followers.is_empty() {
         shared.lead(config.repl_generation, &config.repl_followers)?;
     }
-    let repl_thread = repl_listener.map(|listener| {
+    // The shards own the listener clones; the original drops when `start`
+    // returns, so joining the shards releases the port.
+    let shards = config.workers.max(1);
+    let mut workers = crate::eventloop::spawn(
+        &shared,
+        &listener,
+        shards,
+        shards + config.queue_capacity.max(1),
+        config.read_timeout,
+        config.write_timeout,
+        config.limits,
+    )?;
+    workers.extend(repl_listener.map(|listener| {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || repl_accept_loop(&shared, &listener))
-    });
+    }));
+    Ok(ServerHandle { shared, workers })
+}
 
-    if config.use_poller {
-        // The sharded readiness loop owns the listener clones; the
-        // original drops when `start` returns, so joining the shards
-        // releases the port.
-        match crate::eventloop::spawn(&shared, &listener, &config) {
-            Ok(mut workers) => {
-                workers.extend(repl_thread);
-                return Ok(ServerHandle { shared, acceptor: None, workers });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
-                // No native poller here: serve with the worker pool below.
-            }
-            Err(e) => return Err(e),
-        }
+impl Service for Shared {
+    type ShardState = ();
+
+    fn route(&self, _: &mut (), request: &HttpRequest) -> Routed {
+        route(self, request)
     }
 
-    let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.queue_capacity.max(1));
-    let rx = Arc::new(Mutex::new(rx));
-
-    let mut workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            let rx = Arc::clone(&rx);
-            let limits = config.limits;
-            std::thread::spawn(move || worker_loop(&shared, &rx, limits))
-        })
-        .collect();
-    workers.extend(repl_thread);
-
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        let read_timeout = config.read_timeout;
-        let write_timeout = config.write_timeout;
-        std::thread::spawn(move || {
-            accept_loop(&shared, &listener, &tx, read_timeout, write_timeout)
-        })
-    };
-
-    Ok(ServerHandle { shared, acceptor: Some(acceptor), workers })
-}
-
-fn accept_loop(
-    shared: &Shared,
-    listener: &TcpListener,
-    tx: &SyncSender<TcpStream>,
-    read_timeout: Duration,
-    write_timeout: Duration,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) if shared.shutting_down.load(Ordering::SeqCst) => break,
-            Err(_) => continue,
-        };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break; // the wake-up self-connect, or a late arrival: drop it
-        }
-        shared.metrics.connections_total.inc();
-        let _ = stream.set_read_timeout(Some(read_timeout));
-        let _ = stream.set_write_timeout(Some(write_timeout));
-        let _ = stream.set_nodelay(true);
-        match tx.try_send(stream) {
-            Ok(()) => shared.metrics.queue_depth.inc(),
-            Err(TrySendError::Full(mut stream)) => {
-                shared.metrics.rejected_total.inc();
-                shared.metrics.record_conn_closed("shed");
-                let body = error_json("server overloaded");
-                let _ = write_response(
-                    &mut stream,
-                    503,
-                    "Service Unavailable",
-                    "application/json",
-                    &body,
-                    false,
-                );
-            }
-            Err(TrySendError::Disconnected(_)) => break,
-        }
+    fn metrics(&self) -> &ServiceMetrics {
+        &self.metrics
     }
-    // `tx` drops here; workers drain whatever is still queued, then exit.
-}
 
-fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>, limits: Limits) {
-    loop {
-        // The lock guards only the dequeue, never connection handling.
-        let stream = rx.lock().recv();
-        match stream {
-            Ok(stream) => {
-                shared.metrics.queue_depth.dec();
-                handle_connection(shared, stream, limits);
-            }
-            Err(_) => break, // sender gone and queue drained
-        }
+    fn shutting_down(&self) -> bool {
+        self.shutting_down.load(Ordering::SeqCst)
     }
 }
-
-/// Serves one connection: requests until the peer closes, keep-alive ends,
-/// an unrecoverable error occurs, or shutdown begins. Every exit path
-/// records its cause in `cp_conn_closed_total`.
-fn handle_connection(shared: &Shared, stream: TcpStream, limits: Limits) {
-    let mut conn = HttpConn::new(stream, limits);
-    loop {
-        let request = match conn.read_request() {
-            Ok(request) => request,
-            Err(HttpError::Closed) => {
-                // Clean EOF on an idle keep-alive: the client hung up.
-                shared.metrics.record_conn_closed("client");
-                return;
-            }
-            Err(HttpError::Io(e)) => {
-                // A read timeout mid-message is a stalled peer (slowloris,
-                // half-sent body); anything else is a transport fault.
-                let cause = match e.kind() {
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => "timeout",
-                    _ => "error",
-                };
-                shared.metrics.record_conn_closed(cause);
-                return;
-            }
-            Err(HttpError::BodyTooLarge) => {
-                respond_error(shared, &mut conn, 413, "Payload Too Large", "body too large");
-                shared.metrics.record_conn_closed("error");
-                return;
-            }
-            Err(err) => {
-                // Malformed / HeadTooLarge / BadVersion → 400, then close:
-                // framing may be lost, so the connection cannot continue.
-                let msg = err.to_string();
-                respond_error(shared, &mut conn, 400, "Bad Request", &msg);
-                shared.metrics.record_conn_closed("error");
-                return;
-            }
-        };
-        let started = Instant::now();
-        let (endpoint, status, reason, content_type, body) = route(shared, &request);
-        let draining = shared.shutting_down.load(Ordering::SeqCst);
-        let keep_alive = request.keep_alive() && !draining && status < 500;
-        // Record BEFORE writing: anyone who has seen the response (e.g. a
-        // load generator cross-checking /metrics after its last request)
-        // must also see its counters.
-        shared.metrics.record(endpoint, status, started.elapsed().as_micros() as u64);
-        let write_ok =
-            write_response(conn.stream_mut(), status, reason, content_type, &body, keep_alive)
-                .is_ok();
-        if !write_ok {
-            shared.metrics.record_conn_closed("write_failed");
-            return;
-        }
-        if !keep_alive {
-            let cause = if !request.keep_alive() {
-                "client" // HTTP/1.0 or an explicit `Connection: close`
-            } else if draining {
-                "drain"
-            } else {
-                "error" // 5xx: close so the peer re-syncs on a fresh conn
-            };
-            shared.metrics.record_conn_closed(cause);
-            return;
-        }
-    }
-}
-
-fn respond_error(
-    shared: &Shared,
-    conn: &mut HttpConn<TcpStream>,
-    status: u16,
-    reason: &str,
-    msg: &str,
-) {
-    let body = error_json(msg);
-    shared.metrics.record(Endpoint::Other, status, 0);
-    let _ = write_response(conn.stream_mut(), status, reason, "application/json", &body, false);
-}
-
-type Routed = (Endpoint, u16, &'static str, &'static str, Vec<u8>);
 
 /// Routes one request to its handler.
-pub(crate) fn route(shared: &Shared, request: &HttpRequest) -> Routed {
+fn route(shared: &Shared, request: &HttpRequest) -> Routed {
     let method = request.method.as_str();
     let target = request.target.as_str();
     match (method, target) {
@@ -601,11 +439,12 @@ pub(crate) fn route(shared: &Shared, request: &HttpRequest) -> Routed {
                         .set("recovery_ms", r.recovery_micros as f64 / 1_000.0),
                 );
             }
-            (Endpoint::Healthz, 200, "OK", "application/json", body.to_compact().into_bytes())
+            Routed::json(Endpoint::Healthz, 200, body.to_compact().into_bytes())
         }
         ("GET", "/metrics") => {
             let body = shared.metrics.render_prometheus().into_bytes();
-            (Endpoint::Metrics, 200, "OK", "text/plain; version=0.0.4", body)
+            let content_type = Cow::Borrowed("text/plain; version=0.0.4");
+            Routed { endpoint: Endpoint::Metrics, status: 200, content_type, body }
         }
         ("GET", "/v1/marks") => {
             // The crash harness's comparable artifact: every useful mark,
@@ -614,7 +453,9 @@ pub(crate) fn route(shared: &Shared, request: &HttpRequest) -> Routed {
             if !lines.is_empty() {
                 lines.push('\n');
             }
-            (Endpoint::Marks, 200, "OK", "text/plain; charset=utf-8", lines.into_bytes())
+            let body = lines.into_bytes();
+            let content_type = Cow::Borrowed("text/plain; charset=utf-8");
+            Routed { endpoint: Endpoint::Marks, status: 200, content_type, body }
         }
         ("POST", "/v1/classify") => classify(shared, &request.body),
         ("POST", "/v1/visit") => visit(shared, &request.body),
@@ -625,7 +466,8 @@ pub(crate) fn route(shared: &Shared, request: &HttpRequest) -> Routed {
             // backlog downloads a consistent full-state snapshot (exact
             // on-disk `CPSNAP01` format) and installs it atomically.
             let body = shared.store.encode_bootstrap(shared.cluster.generation());
-            (Endpoint::Repl, 200, "OK", "application/octet-stream", body)
+            let content_type = Cow::Borrowed("application/octet-stream");
+            Routed { endpoint: Endpoint::Repl, status: 200, content_type, body }
         }
         ("GET", t) if t == "/v1/sites" || t.starts_with("/v1/sites?") => {
             sites_list(shared, t.strip_prefix("/v1/sites").and_then(|q| q.strip_prefix('?')))
@@ -634,9 +476,9 @@ pub(crate) fn route(shared: &Shared, request: &HttpRequest) -> Routed {
         ("POST", "/v1/shutdown") => {
             shared.begin_shutdown();
             let body = Json::object().set("status", "shutting down").to_compact().into_bytes();
-            (Endpoint::Shutdown, 200, "OK", "application/json", body)
+            Routed::json(Endpoint::Shutdown, 200, body)
         }
-        _ => (Endpoint::Other, 404, "Not Found", "application/json", error_json("no such route")),
+        _ => Routed::error(Endpoint::Other, 404, "no such route"),
     }
 }
 
@@ -675,14 +517,14 @@ fn classify(shared: &Shared, body: &[u8]) -> Routed {
     shared.metrics.record_detection(decision.detection_micros);
     shared.metrics.record_verdict(decision.cookies_caused_difference);
     let body = decision.to_json().to_compact().into_bytes();
-    (Endpoint::Classify, 200, "OK", "application/json", body)
+    Routed::json(Endpoint::Classify, 200, body)
 }
 
 /// A follower rejects direct writes: only the primary's replicated
 /// stream may mutate it, or the router's promotion would race client
 /// writes it never acked.
 fn not_primary(endpoint: Endpoint) -> Routed {
-    (endpoint, 503, "Service Unavailable", "application/json", error_json("not primary"))
+    Routed::error(endpoint, 503, "not primary")
 }
 
 /// `POST /v1/visit`: one FORCUM training step against the embedded world.
@@ -703,7 +545,7 @@ fn visit(shared: &Shared, body: &[u8]) -> Routed {
         // Count the rejection: crawlers watch cp_site_derive_total
         // {result="unknown"} to notice they are probing a stale frontier.
         shared.metrics.record_site_derive("unknown", None);
-        return (Endpoint::Visit, 404, "Not Found", "application/json", error_json("unknown host"));
+        return Routed::error(Endpoint::Visit, 404, "unknown host");
     }
     let path = parsed.get("path").and_then(Json::as_str).unwrap_or("/");
     let cookie = parsed.get("cookie").and_then(Json::as_str);
@@ -730,19 +572,13 @@ fn visit(shared: &Shared, body: &[u8]) -> Routed {
         Ok(outcome) => outcome.expect("host existence checked above"),
         Err(e) => {
             eprintln!("cp-serve: visit to {host} not journaled: {e}");
-            return (
-                Endpoint::Visit,
-                503,
-                "Service Unavailable",
-                "application/json",
-                error_json("durability unavailable"),
-            );
+            return Routed::error(Endpoint::Visit, 503, "durability unavailable");
         }
     };
     if let Some(record) = &outcome.record {
         shared.metrics.record_verdict(record.decision.cookies_caused_difference);
     }
-    (Endpoint::Visit, 200, "OK", "application/json", outcome.to_compact_json().into_bytes())
+    Routed::json(Endpoint::Visit, 200, outcome.to_compact_json().into_bytes())
 }
 
 /// `POST /v1/expire`: drop usefulness marks whose TTL decayed and restart
@@ -767,13 +603,7 @@ fn expire(shared: &Shared, body: &[u8]) -> Routed {
     };
     if !shared.world.contains(host) {
         shared.metrics.record_site_derive("unknown", None);
-        return (
-            Endpoint::Expire,
-            404,
-            "Not Found",
-            "application/json",
-            error_json("unknown host"),
-        );
+        return Routed::error(Endpoint::Expire, 404, "unknown host");
     }
     let result = shared.store.transact(
         host,
@@ -801,18 +631,10 @@ fn expire(shared: &Shared, body: &[u8]) -> Routed {
         },
     );
     match result {
-        Ok(body) => {
-            (Endpoint::Expire, 200, "OK", "application/json", body.to_compact().into_bytes())
-        }
+        Ok(body) => Routed::json(Endpoint::Expire, 200, body.to_compact().into_bytes()),
         Err(e) => {
             eprintln!("cp-serve: expire on {host} not journaled: {e}");
-            (
-                Endpoint::Expire,
-                503,
-                "Service Unavailable",
-                "application/json",
-                error_json("durability unavailable"),
-            )
+            Routed::error(Endpoint::Expire, 503, "durability unavailable")
         }
     }
 }
@@ -844,18 +666,12 @@ fn repl_lead(shared: &Shared, body: &[u8]) -> Routed {
                 .set("ack", shared.repl_ack.label())
                 .to_compact()
                 .into_bytes();
-            (Endpoint::Repl, 200, "OK", "application/json", body)
+            Routed::json(Endpoint::Repl, 200, body)
         }
         Err(e) if e.to_string().contains("fenced") => {
-            (Endpoint::Repl, 409, "Conflict", "application/json", error_json(&e.to_string()))
+            Routed::error(Endpoint::Repl, 409, &e.to_string())
         }
-        Err(e) => (
-            Endpoint::Repl,
-            503,
-            "Service Unavailable",
-            "application/json",
-            error_json(&format!("cannot lead: {e}")),
-        ),
+        Err(e) => Routed::error(Endpoint::Repl, 503, &format!("cannot lead: {e}")),
     }
 }
 
@@ -898,7 +714,7 @@ fn sites_list(shared: &Shared, query: Option<&str>) -> Routed {
         .set("hosts", hosts)
         .to_compact()
         .into_bytes();
-    (Endpoint::Sites, 200, "OK", "application/json", body)
+    Routed::json(Endpoint::Sites, 200, body)
 }
 
 /// `GET /v1/sites/{host}`: the training summary for a visited site, read
@@ -906,21 +722,13 @@ fn sites_list(shared: &Shared, query: Option<&str>) -> Routed {
 /// a shard lock.
 fn site_summary(shared: &Shared, host: &str) -> Routed {
     match shared.store.summary(host) {
-        Some(summary) => (
-            Endpoint::Sites,
-            200,
-            "OK",
-            "application/json",
-            summary.to_json().to_compact().into_bytes(),
-        ),
-        None if shared.world.contains(host) => (
-            Endpoint::Sites,
-            404,
-            "Not Found",
-            "application/json",
-            error_json("site not yet visited"),
-        ),
-        None => (Endpoint::Sites, 404, "Not Found", "application/json", error_json("unknown host")),
+        Some(summary) => {
+            Routed::json(Endpoint::Sites, 200, summary.to_json().to_compact().into_bytes())
+        }
+        None if shared.world.contains(host) => {
+            Routed::error(Endpoint::Sites, 404, "site not yet visited")
+        }
+        None => Routed::error(Endpoint::Sites, 404, "unknown host"),
     }
 }
 
@@ -930,17 +738,13 @@ fn parse_json_body(body: &[u8]) -> Result<Json, &'static str> {
 }
 
 fn bad_request(endpoint: Endpoint, msg: &str) -> Routed {
-    (endpoint, 400, "Bad Request", "application/json", error_json(msg))
-}
-
-pub(crate) fn error_json(msg: &str) -> Vec<u8> {
-    Json::object().set("error", msg).to_compact().into_bytes()
+    Routed::error(endpoint, 400, msg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::write_request;
+    use crate::http::{write_request, HttpConn};
 
     fn request(
         addr: SocketAddr,
@@ -1034,7 +838,7 @@ mod tests {
             conn.stream_mut().write_all(b"BOGUS\r\n\r\n").unwrap();
             assert_eq!(conn.read_response().unwrap().status, 400);
         }
-        // The worker observes both closes asynchronously; poll briefly.
+        // The shard observes both closes asynchronously; poll briefly.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let (client, error) = (
@@ -1227,28 +1031,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_fallback_still_serves() {
-        let mut server = start(ServeConfig {
-            use_poller: false,
-            workers: 2,
-            read_timeout: Duration::from_millis(2_000),
-            write_timeout: Duration::from_millis(2_000),
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut conn = HttpConn::new(stream, Limits::default());
-        for _ in 0..3 {
-            write_request(conn.stream_mut(), "GET", "/healthz", "127.0.0.1", b"").unwrap();
-            assert_eq!(conn.read_response().unwrap().status, 200);
-        }
-        drop(conn);
-        let resp = request(server.addr(), "POST", "/v1/shutdown", b"");
-        assert_eq!(resp.status, 200);
-        server.wait();
-    }
-
-    #[test]
     fn pipelined_requests_are_answered_in_order() {
         let server = test_server();
         let stream = TcpStream::connect(server.addr()).unwrap();
@@ -1275,9 +1057,6 @@ mod tests {
 
     #[test]
     fn event_loop_counts_wakeups_and_exposes_ready_gauge() {
-        if cp_runtime::net::Poller::new().is_err() {
-            return; // no native poller: the fallback path has no loop to count
-        }
         let server = test_server();
         assert_eq!(request(server.addr(), "GET", "/healthz", b"").status, 200);
         let text = request(server.addr(), "GET", "/metrics", b"").body_string();
@@ -1398,7 +1177,7 @@ mod tests {
         let mut server = test_server();
         let resp = request(server.addr(), "POST", "/v1/shutdown", b"");
         assert_eq!(resp.status, 200);
-        server.wait(); // must return: acceptor woken, workers drained
+        server.wait(); // must return: shards woken and drained
         assert!(server.shared.shutting_down.load(Ordering::SeqCst));
     }
 }

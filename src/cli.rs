@@ -63,11 +63,11 @@ pub enum Command {
         port: u16,
         /// Embedded-world population seed.
         seed: u64,
-        /// Worker threads.
+        /// Event-loop shards.
         workers: usize,
         /// Training-store shards.
         shards: usize,
-        /// Bounded accept-queue capacity.
+        /// Connections admitted beyond one per event-loop shard.
         queue: usize,
         /// Per-connection read/write timeout, milliseconds.
         timeout_ms: u64,
@@ -105,7 +105,7 @@ pub enum Command {
         /// Backend `HTTP_ADDR,REPL_ADDR` pairs; the first is led as the
         /// initial primary.
         backends: Vec<cp_serve::BackendAddr>,
-        /// Worker threads.
+        /// Event-loop shards.
         workers: usize,
         /// Heartbeat probe interval, milliseconds.
         heartbeat_ms: u64,

@@ -296,8 +296,8 @@ fn full_queue_sheds_load_with_503() {
         ..ServeConfig::default()
     })
     .unwrap();
-    // Occupy the worker with an idle keep-alive connection (it blocks in
-    // read_request until the read timeout).
+    // Take the first of the two admission slots (workers + queue) with an
+    // idle keep-alive connection; it stays open until the read timeout.
     let _busy = connect(&server);
     std::thread::sleep(Duration::from_millis(50));
     let _queued = connect(&server); // fills the single queue slot
