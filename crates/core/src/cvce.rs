@@ -70,24 +70,29 @@ pub(crate) fn noise_container(name: &str) -> bool {
 /// token or id.
 pub(crate) fn ad_container(doc: &Document, id: NodeId) -> bool {
     match doc.data(id) {
-        NodeData::Element { attrs, .. } => ad_attrs(attrs),
+        NodeData::Element { attrs, .. } => {
+            ad_attrs(attrs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
+        }
         _ => false,
     }
 }
 
-/// [`ad_container`] judged from the attribute list directly — one pass
-/// instead of a scan per attribute name. First `class`/`id` occurrence
-/// wins, matching `Document::attr`.
-pub(crate) fn ad_attrs(attrs: &[(String, String)]) -> bool {
+/// [`ad_container`] judged from `(name, value)` attribute pairs directly —
+/// one pass instead of a scan per attribute name. First `class`/`id`
+/// occurrence wins, matching `Document::attr`.
+pub(crate) fn ad_attrs<'s>(attrs: impl IntoIterator<Item = (&'s str, &'s str)>) -> bool {
     const AD_TOKENS: [&str; 6] = ["ad", "ads", "advert", "advertisement", "sponsor", "sponsored"];
+    // The separators are ASCII, so splitting the bytes splits the chars.
     let has_ad_token = |v: &str| {
-        v.split([' ', '-', '_']).any(|tok| AD_TOKENS.iter().any(|t| tok.eq_ignore_ascii_case(t)))
+        v.as_bytes()
+            .split(|&b| matches!(b, b' ' | b'-' | b'_'))
+            .any(|tok| AD_TOKENS.iter().any(|t| tok.eq_ignore_ascii_case(t.as_bytes())))
     };
     let (mut class, mut id) = (None, None);
     for (k, v) in attrs {
-        match k.as_str() {
-            "class" if class.is_none() => class = Some(v.as_str()),
-            "id" if id.is_none() => id = Some(v.as_str()),
+        match k {
+            "class" if class.is_none() => class = Some(v),
+            "id" if id.is_none() => id = Some(v),
             _ => {}
         }
     }
@@ -208,7 +213,8 @@ pub fn content_extract(doc: &Document, root: NodeId) -> ContentSet {
 pub(crate) trait ContentSink {
     fn enter(&mut self, name: &str);
     fn leave(&mut self);
-    fn text(&mut self, normalized: &str);
+    /// A kept text; `hash` is `fnv1a64(normalized)`.
+    fn text(&mut self, normalized: &str, hash: u64);
 }
 
 /// The reference sink: materializes context path strings.
@@ -232,7 +238,7 @@ impl ContentSink for StringSink {
         self.context.truncate(saved);
     }
 
-    fn text(&mut self, normalized: &str) {
+    fn text(&mut self, normalized: &str, _hash: u64) {
         self.set.insert(self.context.clone(), normalized.to_string());
     }
 }
@@ -275,9 +281,31 @@ impl ContentSink for HashSink {
         self.context_hashes.pop();
     }
 
-    fn text(&mut self, normalized: &str) {
+    fn text(&mut self, _normalized: &str, hash: u64) {
+        self.text_hashed(hash);
+    }
+}
+
+impl HashSink {
+    /// [`ContentSink::text`] for a text whose `fnv1a64` is already known.
+    pub(crate) fn text_hashed(&mut self, text_hash: u64) {
         let ctx = self.context_hashes.last().copied().unwrap_or(FNV_OFFSET);
-        self.items.push((ctx, fnv1a64(normalized.as_bytes())));
+        self.items.push((ctx, text_hash));
+    }
+}
+
+/// A sink that only records the hash of the text [`sink_text`] keeps, if
+/// any: how a text node is judged before its context is known.
+#[derive(Default)]
+pub(crate) struct TextHash(pub(crate) Option<u64>);
+
+impl ContentSink for TextHash {
+    fn enter(&mut self, _name: &str) {}
+
+    fn leave(&mut self) {}
+
+    fn text(&mut self, _normalized: &str, hash: u64) {
+        self.0 = Some(hash);
     }
 }
 
@@ -294,12 +322,12 @@ pub(crate) fn sink_text<S: ContentSink>(raw: &str, sink: &mut S) {
         return;
     }
     match classify_trimmed(trimmed.as_bytes()) {
-        TextClass::Keep => sink.text(trimmed),
+        TextClass::Keep(hash) => sink.text(trimmed, hash),
         TextClass::Drop => {}
         TextClass::Slow => {
             let text = normalize_text(trimmed);
             if has_alphanumeric(&text) && !looks_like_datetime(&text) {
-                sink.text(&text);
+                sink.text(&text, fnv1a64(text.as_bytes()));
             }
         }
     }
@@ -307,8 +335,9 @@ pub(crate) fn sink_text<S: ContentSink>(raw: &str, sink: &mut S) {
 
 /// Verdict of the single-pass text classification.
 enum TextClass {
-    /// Normalized, alphanumeric, not datetime-looking: emit as-is.
-    Keep,
+    /// Normalized, alphanumeric, not datetime-looking: emit as-is. Carries
+    /// the text's `fnv1a64`, computed in the same scan.
+    Keep(u64),
     /// Fails the Figure-4 / §4.2 filters: discard.
     Drop,
     /// Non-ASCII or not whitespace-normalized: re-run the multi-scan
@@ -322,13 +351,16 @@ enum TextClass {
 /// case of pure-ASCII, already-normalized text. Any non-ASCII byte or
 /// whitespace irregularity defers to the slow path, which normalizes first
 /// (the datetime needles are whitespace-sensitive, so they must be judged
-/// on the normalized string).
+/// on the normalized string). The scan also folds the bytes into the text's
+/// FNV-1a hash, which the serial multiply chain makes the costlier half.
 fn classify_trimmed(bytes: &[u8]) -> TextClass {
     let mut prev_space = false;
     let mut run = 0usize;
     let mut has_year = false;
     let mut has_alnum = false;
+    let mut hash = FNV_OFFSET;
     for (i, &b) in bytes.iter().enumerate() {
+        hash = fnv_step(hash, b);
         if !b.is_ascii() {
             return TextClass::Slow;
         }
@@ -381,7 +413,7 @@ fn classify_trimmed(bytes: &[u8]) -> TextClass {
     if !has_alnum || (has_year && contains_month_name(bytes)) {
         return TextClass::Drop;
     }
-    TextClass::Keep
+    TextClass::Keep(hash)
 }
 
 fn walk<S: ContentSink>(doc: &Document, node: NodeId, sink: &mut S) {

@@ -6,13 +6,19 @@
 //! built "using the same HTML parser of the Web browser" so that malformed
 //! pages are treated identically (§3.2, step 3). This crate is that parser:
 //!
-//! * [`tokenizer`] — an HTML5-flavoured streaming tokenizer that never fails:
+//! * [`tokenizer`] — an HTML5-flavoured pull tokenizer that never fails:
 //!   any byte sequence produces a token stream (tags, text, comments,
 //!   doctype), with raw-text handling for `<script>`/`<style>`/`<title>`/
-//!   `<textarea>`.
+//!   `<textarea>`. [`Tokenizer`] is an iterator of tokens that borrow
+//!   from the input; a token owns a `String` only where lower-casing,
+//!   character-reference decoding or a CDATA join changes its bytes.
 //! * [`parser`] — a forgiving tree builder: implied `<html>/<head>/<body>`,
 //!   void elements, automatic closing of `<p>`, `<li>`, table sections and
-//!   friends, recovery from mis-nested end tags.
+//!   friends, recovery from mis-nested end tags. It pulls tokens one at a
+//!   time and streams the tree into a [`TreeSink`]: [`parse_document`]
+//!   plugs in a sink that builds a [`Document`], and [`parse_with`] takes
+//!   any other (the compiled page analysis keeps a few flags per node and
+//!   never builds a DOM).
 //! * [`dom`] — an arena [`Document`] of
 //!   rooted-labeled-ordered nodes with traversal, query and text-extraction
 //!   helpers.
@@ -46,9 +52,9 @@ pub mod tokenizer;
 pub mod visibility;
 
 pub use dom::{Document, NodeData, NodeId};
-pub use parser::parse_document;
+pub use parser::{parse_document, parse_with, TreeSink};
 pub use select::{select, select_first, Selector};
 pub use serialize::serialize;
 pub use text::inner_text;
-pub use tokenizer::{tokenize, Attribute, Token};
+pub use tokenizer::{tokenize, Attribute, Token, Tokenizer};
 pub use visibility::{element_visible, is_invisible_element_name, is_node_visible};

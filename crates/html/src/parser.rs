@@ -13,8 +13,12 @@
 //!   matching open element;
 //! * unterminated elements are closed at end of input.
 
+use std::borrow::Cow;
+
+use cp_runtime::symbols::SymbolTable;
+
 use crate::dom::{Document, NodeId};
-use crate::tokenizer::{tokenize, Token};
+use crate::tokenizer::{Attribute, Token, Tokenizer};
 
 /// Elements that never have content (HTML void elements).
 fn is_void(name: &str) -> bool {
@@ -35,11 +39,6 @@ fn is_void(name: &str) -> bool {
             | "track"
             | "wbr"
     )
-}
-
-/// Elements whose start tag belongs in `<head>` when seen before `<body>`.
-fn is_head_content(name: &str) -> bool {
-    matches!(name, "title" | "meta" | "link" | "base" | "style" | "noscript")
 }
 
 /// Block-level elements that implicitly close an open `<p>`.
@@ -74,6 +73,55 @@ fn closes_p(name: &str) -> bool {
     )
 }
 
+/// Receives the tree the builder constructs, one node at a time, in
+/// creation order.
+///
+/// The builder owns the construction rules (implied `html`/`head`/`body`,
+/// auto-closing, recovery from stray and mis-nested end tags); a sink only
+/// records what it is told. [`parse_document`] drives a sink that builds
+/// a [`Document`]; a sink that needs less than a mutable DOM, such as a
+/// compiled page analysis, can keep just that.
+///
+/// Children are always appended after their parent's existing children.
+/// Two edits reach a node after its children may have been appended:
+/// [`merge_attrs`](TreeSink::merge_attrs) on the implied `html`, `head`
+/// and `body`, and further children for a `head` that head content
+/// re-opened after `</head>` (so a sink that lays nodes out in document
+/// order must not assume creation order is document order).
+pub trait TreeSink<'a> {
+    /// How the sink names a node it created.
+    type Handle: Copy;
+
+    /// The document node, parent of `html`, doctypes and early comments.
+    fn document(&self) -> Self::Handle;
+
+    /// Appends an element to `parent` and returns it. `name` is
+    /// lower-cased; `name_id` is a dense per-parse id for it (equal names,
+    /// equal ids). `attrs` hold no repeated name.
+    fn append_element(
+        &mut self,
+        parent: Self::Handle,
+        name: &str,
+        name_id: u32,
+        attrs: &[Attribute<'a>],
+    ) -> Self::Handle;
+
+    /// Appends a text node to `parent`. Adjacent text arrives as one node
+    /// unless markup the builder dropped (a stray end tag) split it.
+    fn append_text(&mut self, parent: Self::Handle, text: Cow<'a, str>);
+
+    /// Appends a comment to `parent`.
+    fn append_comment(&mut self, parent: Self::Handle, text: &'a str);
+
+    /// Appends a doctype to the document node.
+    fn append_doctype(&mut self, name: Cow<'a, str>);
+
+    /// Adds to `element` each attribute whose name it does not carry yet.
+    /// `element` is always one of the implied `html`, `head` and `body`,
+    /// which the builder creates without attributes.
+    fn merge_attrs(&mut self, element: Self::Handle, attrs: &[Attribute<'a>]);
+}
+
 /// Parses an HTML document into a [`Document`] DOM tree. Never fails.
 ///
 /// ```
@@ -86,28 +134,170 @@ fn closes_p(name: &str) -> bool {
 /// assert_eq!(doc.element_children(body).len(), 2);
 /// ```
 pub fn parse_document(input: &str) -> Document {
-    let mut builder = TreeBuilder::new();
-    for token in tokenize(input) {
-        builder.process(token);
+    parse_with(input, DomSink(Document::new())).0
+}
+
+/// Runs the tree builder over `input`, streaming the tree into `sink`, and
+/// returns the sink. Tokens are pulled one at a time; nothing but the
+/// sink's own record of the tree outlives them.
+pub fn parse_with<'a, S: TreeSink<'a>>(input: &'a str, sink: S) -> S {
+    let mut builder = TreeBuilder::new(sink);
+    let mut tokens = Tokenizer::new(input);
+    while let Some(token) = tokens.next() {
+        match token {
+            Token::Doctype(name) => {
+                if builder.html.is_none() {
+                    builder.sink.append_doctype(name);
+                }
+            }
+            Token::Comment(text) => {
+                let parent = builder.current();
+                builder.sink.append_comment(parent, text);
+            }
+            Token::Text(text) => builder.process_text(text),
+            Token::StartTag { name, attrs, self_closing } => {
+                builder.process_start(&name, &attrs, self_closing);
+                tokens.recycle(attrs);
+            }
+            Token::EndTag(name) => builder.process_end(&name),
+        }
     }
     builder.finish()
 }
 
-struct TreeBuilder {
-    doc: Document,
+/// The [`Document`]-building sink behind [`parse_document`].
+struct DomSink(Document);
+
+impl<'a> TreeSink<'a> for DomSink {
+    type Handle = NodeId;
+
+    fn document(&self) -> NodeId {
+        NodeId::DOCUMENT
+    }
+
+    fn append_element(
+        &mut self,
+        parent: NodeId,
+        name: &str,
+        _name_id: u32,
+        attrs: &[Attribute<'a>],
+    ) -> NodeId {
+        let attrs = attrs.iter().map(|a| (a.name.to_string(), a.value.to_string())).collect();
+        let el = self.0.create_element(name, attrs);
+        self.0.append_child(parent, el);
+        el
+    }
+
+    fn append_text(&mut self, parent: NodeId, text: Cow<'a, str>) {
+        let t = self.0.create_text(text);
+        self.0.append_child(parent, t);
+    }
+
+    fn append_comment(&mut self, parent: NodeId, text: &'a str) {
+        let c = self.0.create_comment(text);
+        self.0.append_child(parent, c);
+    }
+
+    fn append_doctype(&mut self, name: Cow<'a, str>) {
+        let d = self.0.create_doctype(name);
+        self.0.append_child(NodeId::DOCUMENT, d);
+    }
+
+    fn merge_attrs(&mut self, element: NodeId, attrs: &[Attribute<'a>]) {
+        for a in attrs {
+            if self.0.attr(element, &a.name).is_none() {
+                self.0.set_attr(element, &a.name, a.value.to_string());
+            }
+        }
+    }
+}
+
+/// Tag names the construction rules test by id. They are interned first,
+/// in this order, so each one's id is the constant below.
+const KNOWN: [&str; 27] = [
+    "html", "head", "body", "p", "li", "ul", "ol", "menu", "dt", "dd", "dl", "tr", "td", "th",
+    "table", "option", "thead", "tbody", "tfoot", "a", "script", "title", "meta", "link", "base",
+    "style", "noscript",
+];
+const HTML: u32 = 0;
+const HEAD: u32 = 1;
+const BODY: u32 = 2;
+const P: u32 = 3;
+const LI: u32 = 4;
+const UL: u32 = 5;
+const OL: u32 = 6;
+const MENU: u32 = 7;
+const DT: u32 = 8;
+const DD: u32 = 9;
+const DL: u32 = 10;
+const TR: u32 = 11;
+const TD: u32 = 12;
+const TH: u32 = 13;
+const TABLE: u32 = 14;
+const OPTION: u32 = 15;
+const THEAD: u32 = 16;
+const TBODY: u32 = 17;
+const TFOOT: u32 = 18;
+const A: u32 = 19;
+const SCRIPT: u32 = 20;
+const TITLE: u32 = 21;
+const NOSCRIPT: u32 = 26;
+
+/// "None" for name ids and open-stack positions.
+const NONE: u32 = u32::MAX;
+
+/// What the builder keeps per tag-name id.
+#[derive(Clone, Copy)]
+struct NameState {
+    /// Stack position of the topmost open element with this name. With
+    /// `Open::below` this answers "is `x` open" and "is `x` open above
+    /// `y`" without scanning the stack.
+    top: u32,
+    void: bool,
+    closes_p: bool,
+}
+
+impl NameState {
+    fn new(name: &str) -> Self {
+        NameState { top: NONE, void: is_void(name), closes_p: closes_p(name) }
+    }
+}
+
+/// One entry of the open-element stack.
+struct Open<H> {
+    node: H,
+    name: u32,
+    /// Stack position of the next open element down with the same name.
+    below: u32,
+}
+
+struct TreeBuilder<'a, S: TreeSink<'a>> {
+    sink: S,
+    names: SymbolTable,
     /// Open element stack; `stack[0]` is the document node.
-    stack: Vec<NodeId>,
-    html: Option<NodeId>,
-    head: Option<NodeId>,
-    body: Option<NodeId>,
+    stack: Vec<Open<S::Handle>>,
+    /// Indexed by name id.
+    name_states: Vec<NameState>,
+    html: Option<S::Handle>,
+    head: Option<S::Handle>,
+    body: Option<S::Handle>,
     head_closed: bool,
 }
 
-impl TreeBuilder {
-    fn new() -> Self {
+impl<'a, S: TreeSink<'a>> TreeBuilder<'a, S> {
+    fn new(sink: S) -> Self {
+        // Dense per-parse ids for tag names, the rule names first.
+        let mut names = SymbolTable::with_capacity(64);
+        for name in KNOWN {
+            names.intern(name);
+        }
+        let name_states = KNOWN.iter().map(|name| NameState::new(name)).collect();
+        let document = Open { node: sink.document(), name: NONE, below: NONE };
         TreeBuilder {
-            doc: Document::new(),
-            stack: vec![NodeId::DOCUMENT],
+            sink,
+            names,
+            stack: vec![document],
+            name_states,
             html: None,
             head: None,
             body: None,
@@ -115,55 +305,91 @@ impl TreeBuilder {
         }
     }
 
-    fn current(&self) -> NodeId {
-        *self.stack.last().expect("stack never empty")
+    fn current(&self) -> S::Handle {
+        self.stack.last().expect("stack never empty").node
     }
 
-    fn ensure_html(&mut self) -> NodeId {
+    fn intern(&mut self, name: &str) -> u32 {
+        let id = self.names.intern(name);
+        if id as usize == self.name_states.len() {
+            self.name_states.push(NameState::new(name));
+        }
+        id
+    }
+
+    fn top(&self, name: u32) -> u32 {
+        self.name_states[name as usize].top
+    }
+
+    fn push(&mut self, node: S::Handle, name: u32) {
+        let at = self.stack.len() as u32;
+        let below = std::mem::replace(&mut self.name_states[name as usize].top, at);
+        self.stack.push(Open { node, name, below });
+    }
+
+    /// Pops the top element (never the document node) and returns its name.
+    fn pop(&mut self) -> u32 {
+        let open = self.stack.pop().expect("stack never empty");
+        self.name_states[open.name as usize].top = open.below;
+        open.name
+    }
+
+    fn has_open(&self, name: u32) -> bool {
+        self.top(name) != NONE
+    }
+
+    /// Whether `name` is open *above* (closer to the top than) any of the
+    /// `barriers` — used for scoped auto-closing (e.g. `li` within `ul`).
+    fn has_open_until(&self, name: u32, barriers: &[u32]) -> bool {
+        let at = self.top(name);
+        at != NONE && barriers.iter().all(|&b| self.top(b) == NONE || self.top(b) < at)
+    }
+
+    /// Pops up to and including the topmost open `name`.
+    fn close_nearest(&mut self, name: u32) {
+        while self.stack.len() > 1 && self.pop() != name {}
+    }
+
+    fn ensure_html(&mut self) -> S::Handle {
         if let Some(h) = self.html {
             return h;
         }
-        let h = self.doc.create_element("html", vec![]);
-        self.doc.append_child(NodeId::DOCUMENT, h);
-        self.stack.push(h);
+        let document = self.sink.document();
+        let h = self.sink.append_element(document, "html", HTML, &[]);
+        self.push(h, HTML);
         self.html = Some(h);
         h
     }
 
-    fn ensure_head(&mut self) -> NodeId {
+    fn ensure_head(&mut self) -> S::Handle {
         if let Some(h) = self.head {
             return h;
         }
         let html = self.ensure_html();
-        let h = self.doc.create_element("head", vec![]);
-        self.doc.append_child(html, h);
+        let h = self.sink.append_element(html, "head", HEAD, &[]);
         self.head = Some(h);
         h
     }
 
-    fn ensure_body(&mut self) -> NodeId {
+    fn ensure_body(&mut self) -> S::Handle {
         if let Some(b) = self.body {
             return b;
         }
         // Close the head if it is on the stack.
-        if let Some(head) = self.head {
-            while self.stack.contains(&head) && self.current() != head {
-                self.stack.pop();
-            }
-            if self.current() == head {
-                self.stack.pop();
-            }
-        } else {
+        if self.head.is_none() {
             self.ensure_head();
+        } else if self.has_open(HEAD) {
+            self.close_nearest(HEAD);
         }
         self.head_closed = true;
         let html = self.ensure_html();
         // Reset stack to [document, html] before opening body.
-        self.stack.truncate(1);
-        self.stack.push(html);
-        let b = self.doc.create_element("body", vec![]);
-        self.doc.append_child(html, b);
-        self.stack.push(b);
+        while self.stack.len() > 1 {
+            self.pop();
+        }
+        self.push(html, HTML);
+        let b = self.sink.append_element(html, "body", BODY, &[]);
+        self.push(b, BODY);
         self.body = Some(b);
         b
     }
@@ -172,106 +398,55 @@ impl TreeBuilder {
         self.body.is_some()
     }
 
-    fn process(&mut self, token: Token) {
-        match token {
-            Token::Doctype(name) => {
-                if self.html.is_none() {
-                    let d = self.doc.create_doctype(name);
-                    self.doc.append_child(NodeId::DOCUMENT, d);
-                }
-            }
-            Token::Comment(text) => {
-                let c = self.doc.create_comment(text);
-                let parent = self.current();
-                self.doc.append_child(parent, c);
-            }
-            Token::Text(text) => self.process_text(text),
-            Token::StartTag { name, attrs, self_closing } => {
-                self.process_start(&name, attrs, self_closing)
-            }
-            Token::EndTag(name) => self.process_end(&name),
-        }
-    }
-
-    fn process_text(&mut self, text: String) {
-        let in_head_context = !self.in_body();
-        if in_head_context {
-            // Whitespace before <body> is dropped; real text forces the body.
-            if text.trim().is_empty() {
-                // Inside a head raw-text element (title/style/script) keep it.
+    fn process_text(&mut self, text: Cow<'a, str>) {
+        if !self.in_body() {
+            // Inside a head raw-text element (title/style/script) text is
+            // kept; otherwise whitespace before <body> is dropped and real
+            // text forces the body.
+            let name = self.stack.last().expect("stack never empty").name;
+            if is_head_content_id(name) || name == SCRIPT {
                 let cur = self.current();
-                if self.doc.tag_name(cur).is_some_and(is_head_content)
-                    || self.doc.tag_name(cur) == Some("script")
-                {
-                    let t = self.doc.create_text(text);
-                    self.doc.append_child(cur, t);
-                }
+                self.sink.append_text(cur, text);
                 return;
             }
-            let cur = self.current();
-            if self.doc.tag_name(cur).is_some_and(is_head_content)
-                || self.doc.tag_name(cur) == Some("script")
-            {
-                let t = self.doc.create_text(text);
-                self.doc.append_child(cur, t);
+            if text.trim().is_empty() {
                 return;
             }
             self.ensure_body();
         }
         let cur = self.current();
-        let t = self.doc.create_text(text);
-        self.doc.append_child(cur, t);
+        self.sink.append_text(cur, text);
     }
 
-    fn process_start(
-        &mut self,
-        name: &str,
-        attrs: Vec<crate::tokenizer::Attribute>,
-        self_closing: bool,
-    ) {
-        let attrs: Vec<(String, String)> = attrs.into_iter().map(|a| (a.name, a.value)).collect();
-        match name {
-            "html" => {
-                let h = self.ensure_html();
-                for (k, v) in attrs {
-                    if self.doc.attr(h, &k).is_none() {
-                        self.doc.set_attr(h, &k, v);
-                    }
-                }
-                return;
-            }
-            "head" => {
+    fn process_start(&mut self, name: &str, attrs: &[Attribute<'a>], self_closing: bool) {
+        let id = self.intern(name);
+        let merge_into = match id {
+            HTML => Some(self.ensure_html()),
+            HEAD => {
                 let h = self.ensure_head();
-                if !self.head_closed && !self.stack.contains(&h) {
-                    self.stack.push(h);
+                if !self.head_closed && !self.has_open(HEAD) {
+                    self.push(h, HEAD);
                 }
-                for (k, v) in attrs {
-                    if self.doc.attr(h, &k).is_none() {
-                        self.doc.set_attr(h, &k, v);
-                    }
-                }
-                return;
+                Some(h)
             }
-            "body" => {
-                let b = self.ensure_body();
-                for (k, v) in attrs {
-                    if self.doc.attr(b, &k).is_none() {
-                        self.doc.set_attr(b, &k, v);
-                    }
-                }
-                return;
+            BODY => Some(self.ensure_body()),
+            _ => None,
+        };
+        if let Some(element) = merge_into {
+            if !attrs.is_empty() {
+                self.sink.merge_attrs(element, attrs);
             }
-            _ => {}
+            return;
         }
 
         // Decide placement: head-content elements go to the head until the
         // body opens; everything else forces the body (scripts may live in
         // either — they stay wherever we currently are).
         if !self.in_body() {
-            if is_head_content(name) || name == "script" {
+            if is_head_content_id(id) || id == SCRIPT {
                 let head = self.ensure_head();
-                if !self.stack.contains(&head) {
-                    self.stack.push(head);
+                if !self.has_open(HEAD) {
+                    self.push(head, HEAD);
                 }
             } else {
                 self.ensure_body();
@@ -279,117 +454,81 @@ impl TreeBuilder {
         }
 
         // Automatic closing rules.
-        match name {
-            "p" if self.has_open("p") => self.close_nearest("p"),
-            n if closes_p(n) && self.has_open("p") => self.close_nearest("p"),
-            "li" if self.has_open_until("li", &["ul", "ol", "menu"]) => self.close_nearest("li"),
-            "dt" | "dd" => {
-                if self.has_open_until("dt", &["dl"]) {
-                    self.close_nearest("dt");
-                }
-                if self.has_open_until("dd", &["dl"]) {
-                    self.close_nearest("dd");
-                }
+        let rules = self.name_states[id as usize];
+        if rules.closes_p {
+            if self.has_open(P) {
+                self.close_nearest(P);
             }
-            "tr" if self.has_open_until("tr", &["table"]) => self.close_nearest("tr"),
-            "td" | "th" => {
-                if self.has_open_until("td", &["tr", "table"]) {
-                    self.close_nearest("td");
-                }
-                if self.has_open_until("th", &["tr", "table"]) {
-                    self.close_nearest("th");
-                }
-            }
-            "option" if self.has_open("option") => self.close_nearest("option"),
-            "thead" | "tbody" | "tfoot" => {
-                for s in ["thead", "tbody", "tfoot"] {
-                    if self.has_open_until(s, &["table"]) {
-                        self.close_nearest(s);
+        } else {
+            match id {
+                LI if self.has_open_until(LI, &[UL, OL, MENU]) => self.close_nearest(LI),
+                DT | DD => {
+                    for item in [DT, DD] {
+                        if self.has_open_until(item, &[DL]) {
+                            self.close_nearest(item);
+                        }
                     }
                 }
+                TR if self.has_open_until(TR, &[TABLE]) => self.close_nearest(TR),
+                TD | TH => {
+                    for cell in [TD, TH] {
+                        if self.has_open_until(cell, &[TR, TABLE]) {
+                            self.close_nearest(cell);
+                        }
+                    }
+                }
+                OPTION if self.has_open(OPTION) => self.close_nearest(OPTION),
+                THEAD | TBODY | TFOOT => {
+                    for section in [THEAD, TBODY, TFOOT] {
+                        if self.has_open_until(section, &[TABLE]) {
+                            self.close_nearest(section);
+                        }
+                    }
+                }
+                A if self.has_open(A) => self.close_nearest(A),
+                _ => {}
             }
-            "a" if self.has_open("a") => self.close_nearest("a"),
-            _ => {}
         }
 
-        let el = self.doc.create_element(name, attrs);
         let parent = self.current();
-        self.doc.append_child(parent, el);
-        if !is_void(name) && !self_closing {
-            self.stack.push(el);
+        let el = self.sink.append_element(parent, name, id, attrs);
+        if !rules.void && !self_closing {
+            self.push(el, id);
         }
     }
 
     fn process_end(&mut self, name: &str) {
-        match name {
-            "html" | "body" => {
-                // Keep them open until EOF; browsers effectively do the same.
-                return;
+        // A name never interned was never opened: a stray end tag.
+        let Some(id) = self.names.lookup(name) else { return };
+        match id {
+            // Keep them open until EOF; browsers effectively do the same.
+            HTML | BODY => {}
+            HEAD if self.has_open(HEAD) => {
+                self.close_nearest(HEAD);
+                self.head_closed = true;
             }
-            "head" => {
-                if let Some(head) = self.head {
-                    if self.stack.contains(&head) {
-                        while self.current() != head {
-                            self.stack.pop();
-                        }
-                        self.stack.pop();
-                        self.head_closed = true;
-                    }
-                }
-                return;
+            // A stray </p> creates an empty paragraph in browsers.
+            P if !self.has_open(P) && self.in_body() => {
+                let parent = self.current();
+                self.sink.append_element(parent, "p", P, &[]);
             }
-            "p" if !self.has_open("p") => {
-                // A stray </p> creates an empty paragraph in browsers.
-                if self.in_body() {
-                    let parent = self.current();
-                    let p = self.doc.create_element("p", vec![]);
-                    self.doc.append_child(parent, p);
-                }
-                return;
-            }
+            _ if self.has_open(id) => self.close_nearest(id),
+            // Otherwise a stray end tag is ignored.
             _ => {}
         }
-        if self.has_open(name) {
-            self.close_nearest(name);
-        }
-        // Otherwise: stray end tag, ignored.
     }
 
-    fn has_open(&self, name: &str) -> bool {
-        self.stack.iter().any(|&n| self.doc.tag_name(n) == Some(name))
-    }
-
-    /// Whether `name` is open *above* (closer to the top than) any of the
-    /// `barriers` — used for scoped auto-closing (e.g. `li` within `ul`).
-    fn has_open_until(&self, name: &str, barriers: &[&str]) -> bool {
-        for &n in self.stack.iter().rev() {
-            match self.doc.tag_name(n) {
-                Some(t) if t == name => return true,
-                Some(t) if barriers.contains(&t) => return false,
-                _ => {}
-            }
-        }
-        false
-    }
-
-    fn close_nearest(&mut self, name: &str) {
-        while let Some(&top) = self.stack.last() {
-            if self.stack.len() <= 1 {
-                break;
-            }
-            let matched = self.doc.tag_name(top) == Some(name);
-            self.stack.pop();
-            if matched {
-                break;
-            }
-        }
-    }
-
-    fn finish(mut self) -> Document {
+    fn finish(mut self) -> S {
         // Guarantee the skeleton exists even for empty input.
         self.ensure_body();
-        self.doc
+        self.sink
     }
+}
+
+/// Elements whose start tag belongs in `<head>` when seen before `<body>`:
+/// `title`, `meta`, `link`, `base`, `style` and `noscript`, by name id.
+fn is_head_content_id(id: u32) -> bool {
+    (TITLE..=NOSCRIPT).contains(&id)
 }
 
 #[cfg(test)]
@@ -578,6 +717,51 @@ mod tests {
             let doc = parse_document(garbage);
             assert!(doc.body().is_some(), "body must exist for {garbage:?}");
         }
+    }
+
+    #[test]
+    fn reopened_head_takes_late_head_content() {
+        // The comment lands in <html> after </head>; the <title> re-opens
+        // the head, so the head's new child comes *before* the comment in
+        // document order although it was created after it.
+        let doc = parse_document("<head><meta charset=a></head><!--c--><title>t</title><p>x");
+        let html = doc.html().unwrap();
+        let names: Vec<&str> = doc.children(html).iter().map(|&n| doc.node_name(n)).collect();
+        assert_eq!(names, ["head", "#comment", "body"]);
+        let head = doc.head().unwrap();
+        assert_eq!(doc.element_children(head).len(), 2);
+    }
+
+    #[test]
+    fn late_attributes_merge_into_html_and_body() {
+        let doc = parse_document("<body id=a><p>x</p><body id=b class=c><html lang=en>");
+        let body = doc.body().unwrap();
+        assert_eq!(doc.attr(body, "id"), Some("a"), "first value wins");
+        assert_eq!(doc.attr(body, "class"), Some("c"));
+        assert_eq!(doc.attr(doc.html().unwrap(), "lang"), Some("en"));
+    }
+
+    #[test]
+    fn stray_end_tag_keeps_text_nodes_apart() {
+        let doc = parse_document("<p>a</span>b</p>");
+        let p = doc.find_element(NodeId::DOCUMENT, "p").unwrap();
+        assert_eq!(doc.children(p).len(), 2);
+    }
+
+    #[test]
+    fn scoped_closing_stops_at_the_nearest_barrier() {
+        // The inner table's <td> must not close the outer cell...
+        let doc = parse_document("<table><tr><td>o<table><tr><td>i<td>j</table>k</table>");
+        let tds = doc.find_all(NodeId::DOCUMENT, "td");
+        assert_eq!(tds.len(), 3);
+        let inner = doc.find_all(NodeId::DOCUMENT, "table")[1];
+        assert_eq!(doc.parent(doc.parent(inner).unwrap()), doc.parent(tds[0]));
+        // ...and an <li> in a nested list must not close the outer item.
+        let doc = parse_document("<ul><li>a<div><ol><li>b<li>c</ol></div><li>d</ul>");
+        let lis = doc.find_all(NodeId::DOCUMENT, "li");
+        assert_eq!(lis.len(), 4);
+        let outer = doc.find_element(NodeId::DOCUMENT, "ul").unwrap();
+        assert_eq!(doc.element_children(outer).len(), 2);
     }
 
     #[test]

@@ -46,27 +46,32 @@ pub fn is_node_visible(doc: &Document, id: NodeId) -> bool {
     match doc.data(id) {
         NodeData::Comment(_) | NodeData::Doctype { .. } => false,
         NodeData::Document | NodeData::Text(_) => true,
-        NodeData::Element { name, attrs } => element_visible(name, attrs),
+        NodeData::Element { name, attrs } => {
+            element_visible(name, attrs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
+        }
     }
 }
 
 /// The element case of [`is_node_visible`], judged from the name and the
-/// attribute list directly — one pass over the attributes instead of one
-/// scan per interesting attribute, for callers (like the compiled page
-/// analysis) that already hold the element data.
+/// `(name, value)` attribute pairs directly — one pass over the attributes
+/// instead of one scan per interesting attribute, for callers (like the
+/// compiled page analysis) that hold element data outside a `Document`.
 ///
 /// Duplicate attributes follow [`Document::attr`] semantics: the first
 /// occurrence of a name wins.
-pub fn element_visible(name: &str, attrs: &[(String, String)]) -> bool {
+pub fn element_visible<'s>(
+    name: &str,
+    attrs: impl IntoIterator<Item = (&'s str, &'s str)>,
+) -> bool {
     if is_invisible_element_name(name) {
         return false;
     }
     let (mut hidden, mut ty, mut style) = (false, None, None);
     for (k, v) in attrs {
-        match k.as_str() {
+        match k {
             "hidden" => hidden = true,
-            "type" if ty.is_none() => ty = Some(v.as_str()),
-            "style" if style.is_none() => style = Some(v.as_str()),
+            "type" if ty.is_none() => ty = Some(v),
+            "style" if style.is_none() => style = Some(v),
             _ => {}
         }
     }

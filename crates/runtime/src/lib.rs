@@ -14,6 +14,7 @@
 //! | [`par`]  | `crossbeam::scope` | [`par::par_map_indexed`] — ordered scoped fan-out with a worker cap |
 //! | [`sync`] | `parking_lot`      | guard-returning `Mutex` / `RwLock` |
 //! | [`metrics`] | `prometheus`    | atomic `Counter` / `Gauge` / latency `Histogram` for the service layer |
+//! | [`symbols`] | `string-interner` | [`symbols::SymbolTable`] — dense `u32` ids for names, one string arena |
 //! | [`net`]  | `mio`/`epoll` crates | [`net::Poller`] — level-triggered readiness polling (Linux epoll, `poll(2)` on other unix targets, via the libc std links) |
 //!
 //! Determinism is the design center: the PRNG stream is pinned by tests,
@@ -26,4 +27,5 @@ pub mod metrics;
 pub mod net;
 pub mod par;
 pub mod rng;
+pub mod symbols;
 pub mod sync;

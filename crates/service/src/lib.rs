@@ -36,6 +36,7 @@ pub mod chaosproxy;
 mod eventloop;
 pub mod http;
 pub mod loadgen;
+pub mod lru;
 pub mod metrics;
 pub mod replication;
 pub mod router;

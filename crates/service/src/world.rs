@@ -14,9 +14,9 @@
 //! interleave. That is both the scalability story (no global RNG lock on
 //! the hot path) and what makes `loadgen` runs reproducible.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use cookiepicker_core::{decide_analyzed, CookiePickerConfig, DetectionRecord};
@@ -30,6 +30,7 @@ use cp_webworld::universe::{Universe, WorldKind};
 use cp_webworld::SiteSpec;
 
 use crate::cache::AnalysisCache;
+use crate::lru::Lru;
 use crate::metrics::ServiceMetrics;
 use crate::store::SiteEntry;
 use crate::wal::{EventKind, VisitEvent};
@@ -194,20 +195,38 @@ pub struct DerivedSite {
     pub spec: Arc<SiteSpec>,
     /// `spec.page_paths()`, computed once when the site enters the cache.
     pub paths: Vec<String>,
-    /// Per-path issued `name=value` cookies, parallel to [`paths`]
-    /// (plus the entry-redirect target): the Observe hot path serves
-    /// them by lookup instead of re-formatting on every visit.
+    /// Per-path issued `name=value` cookies: one cell per [`paths`] entry,
+    /// then one per [`EXTRA_PATHS`] entry. A cell is filled by the first
+    /// visit that needs it, so a derivation formats no cookie lists and
+    /// the Observe hot path serves them by lookup afterwards.
     ///
     /// [`paths`]: DerivedSite::paths
-    issued: Vec<(String, Vec<String>)>,
+    issued: Vec<OnceLock<Vec<String>>>,
 }
 
+/// Non-canonical paths visits commonly name: the entry page before
+/// redirect resolution, and its redirect target.
+const EXTRA_PATHS: [&str; 2] = ["/", "/home"];
+
 impl DerivedSite {
-    /// The cookies this site issues on `path`, from the precomputed table
-    /// when `path` is canonical, formatted on the fly otherwise.
+    fn new(spec: Arc<SiteSpec>) -> Self {
+        let paths = spec.page_paths();
+        let issued = (0..paths.len() + EXTRA_PATHS.len()).map(|_| OnceLock::new()).collect();
+        DerivedSite { spec, paths, issued }
+    }
+
+    /// The cookies this site issues on `path`, from the per-path table
+    /// when `path` is canonical (or one of the entry paths), formatted on
+    /// the fly otherwise.
     pub fn issued_for(&self, path: &str) -> Vec<String> {
-        match self.issued.iter().find(|(p, _)| p == path) {
-            Some((_, cookies)) => cookies.clone(),
+        let slot =
+            self.paths.iter().position(|p| p == path).or_else(|| {
+                EXTRA_PATHS.iter().position(|p| *p == path).map(|i| self.paths.len() + i)
+            });
+        match slot {
+            Some(slot) => {
+                self.issued[slot].get_or_init(|| issued_cookies(&self.spec, path)).clone()
+            }
             None => issued_cookies(&self.spec, path),
         }
     }
@@ -246,31 +265,17 @@ impl DeriveOutcome {
     }
 }
 
-struct SiteCacheEntry {
-    site: Arc<DerivedSite>,
-    last_used: u64,
-}
-
-struct SiteCacheInner {
-    map: HashMap<String, SiteCacheEntry>,
-    tick: u64,
-}
-
-/// Bounded LRU of derived sites, keyed by host — the same tick-stamped
-/// eviction scheme as [`AnalysisCache`]. This is what makes a
-/// `uniform:1000000` world O(cache) memory: only the hosts actually
-/// visited recently are materialized.
+/// Bounded LRU of derived sites, keyed by host — the same [`Lru`] as the
+/// [`AnalysisCache`]. This is what makes a `uniform:1000000` world
+/// O(cache) memory: only the hosts actually visited recently are
+/// materialized.
 struct SiteCache {
-    inner: Mutex<SiteCacheInner>,
-    capacity: usize,
+    lru: Mutex<Lru<String, Arc<DerivedSite>>>,
 }
 
 impl SiteCache {
     fn new(capacity: usize) -> Self {
-        SiteCache {
-            inner: Mutex::new(SiteCacheInner { map: HashMap::new(), tick: 0 }),
-            capacity: capacity.max(1),
-        }
+        SiteCache { lru: Mutex::new(Lru::new(capacity)) }
     }
 
     /// Looks up `host`, deriving from `universe` on a miss. Returns the
@@ -281,14 +286,8 @@ impl SiteCache {
         universe: &Universe,
         host: &str,
     ) -> (Option<Arc<DerivedSite>>, DeriveOutcome, u64) {
-        {
-            let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.map.get_mut(host) {
-                entry.last_used = tick;
-                return (Some(Arc::clone(&entry.site)), DeriveOutcome::Hit, 0);
-            }
+        if let Some(site) = self.lru.lock().get(host) {
+            return (Some(Arc::clone(site)), DeriveOutcome::Hit, 0);
         }
         // Derive outside the lock: misses on distinct hosts proceed in
         // parallel; a racing double-derive is benign (pure function).
@@ -296,29 +295,13 @@ impl SiteCache {
         let Some(spec) = universe.derive(host) else {
             return (None, DeriveOutcome::Unknown, 0);
         };
-        let paths = spec.page_paths();
-        let mut issued: Vec<(String, Vec<String>)> =
-            paths.iter().map(|p| (p.clone(), issued_cookies(&spec, p))).collect();
-        for extra in ["/", "/home"] {
-            if !issued.iter().any(|(p, _)| p == extra) {
-                issued.push((extra.to_string(), issued_cookies(&spec, extra)));
-            }
-        }
-        let site = Arc::new(DerivedSite { spec, paths, issued });
+        let site = Arc::new(DerivedSite::new(spec));
         let micros = started.elapsed().as_micros() as u64;
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner
-            .map
-            .entry(host.to_string())
-            .or_insert_with(|| SiteCacheEntry { site: Arc::clone(&site), last_used: tick });
-        if inner.map.len() > self.capacity {
-            if let Some(oldest) =
-                inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(host, _)| host.clone())
-            {
-                inner.map.remove(&oldest);
-            }
+        let mut lru = self.lru.lock();
+        // A racing derive may have cached the host first; that entry stays
+        // as it was, unrefreshed.
+        if !lru.contains(host) {
+            lru.insert(host.to_string(), Arc::clone(&site));
         }
         (Some(site), DeriveOutcome::Miss, micros)
     }
@@ -486,8 +469,8 @@ impl EmbeddedWorld {
             .map(|(name, _)| name.clone())
             .collect();
 
-        // Cookies the site (re-)issues on this path: precomputed per
-        // canonical path when the site entered the derive cache.
+        // Cookies the site (re-)issues on this path: formatted once per
+        // canonical path, on the first visit that needs them.
         let set_cookies: Vec<String> = site.issued_for(path);
         let mut observed: Vec<String> = sent.iter().map(|(name, _)| name.clone()).collect();
         observed.extend(

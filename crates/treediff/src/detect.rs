@@ -34,117 +34,10 @@
 //! }
 //! ```
 
+pub use cp_runtime::symbols::SymbolTable;
+
 use crate::metrics::jaccard;
 use crate::tree::TreeView;
-
-/// FNV-1a 64 over a byte string — the hash behind the symbol index. Label
-/// keys are short element names; FNV beats the DoS-resistant standard
-/// hasher by a wide margin there, and symbol interning is on the
-/// page-compilation hot path.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Interns label strings to dense `u32` symbols, per tree.
-///
-/// Symbols are only meaningful within the table that issued them; to
-/// compare two trees, [`DetectTree::remap_symbols_from`] builds a
-/// translation table between their symbol spaces.
-///
-/// All names live concatenated in one string arena with an open-addressed
-/// hash index over them, so interning a page's worth of labels costs three
-/// allocations total rather than one `String` plus a map node per distinct
-/// label.
-#[derive(Debug, Clone, Default)]
-pub struct SymbolTable {
-    /// All interned names, concatenated.
-    buf: String,
-    /// Byte range of each symbol's name within `buf`.
-    spans: Vec<(u32, u32)>,
-    /// Open-addressed index: `sym + 1`, or 0 for an empty slot. Length is
-    /// a power of two, kept at most ~¾ full.
-    index: Vec<u32>,
-}
-
-impl SymbolTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        SymbolTable::default()
-    }
-
-    /// Returns the symbol for `name`, interning it on first sight.
-    pub fn intern(&mut self, name: &str) -> u32 {
-        if self.spans.len() * 4 >= self.index.len() * 3 {
-            self.grow();
-        }
-        let mask = self.index.len() - 1;
-        let mut slot = fnv1a(name.as_bytes()) as usize & mask;
-        loop {
-            match self.index[slot] {
-                0 => break,
-                s if self.name(s - 1) == name => return s - 1,
-                _ => slot = (slot + 1) & mask,
-            }
-        }
-        let id = self.spans.len() as u32;
-        let start = self.buf.len() as u32;
-        self.buf.push_str(name);
-        self.spans.push((start, self.buf.len() as u32));
-        self.index[slot] = id + 1;
-        id
-    }
-
-    /// Doubles (or seeds) the index and re-inserts every symbol.
-    fn grow(&mut self) {
-        let cap = (self.index.len() * 2).max(16);
-        self.index.clear();
-        self.index.resize(cap, 0);
-        let mask = cap - 1;
-        for id in 0..self.spans.len() {
-            let mut slot = fnv1a(self.name(id as u32).as_bytes()) as usize & mask;
-            while self.index[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            self.index[slot] = id as u32 + 1;
-        }
-    }
-
-    /// The symbol previously interned for `name`, if any.
-    pub fn lookup(&self, name: &str) -> Option<u32> {
-        if self.index.is_empty() {
-            return None;
-        }
-        let mask = self.index.len() - 1;
-        let mut slot = fnv1a(name.as_bytes()) as usize & mask;
-        loop {
-            match self.index[slot] {
-                0 => return None,
-                s if self.name(s - 1) == name => return Some(s - 1),
-                _ => slot = (slot + 1) & mask,
-            }
-        }
-    }
-
-    /// The name behind a symbol.
-    pub fn name(&self, id: u32) -> &str {
-        let (start, end) = self.spans[id as usize];
-        &self.buf[start as usize..end as usize]
-    }
-
-    /// Number of distinct symbols.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether no symbol was interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-}
 
 /// A tree compiled for restricted matching: preorder node arrays plus a
 /// flattened child index list.
@@ -153,7 +46,7 @@ impl SymbolTable {
 /// indices inside [`children`](DetectTree::from_view). Built once per page
 /// with [`DetectTree::from_view`], then matched any number of times with
 /// [`rstm_detect`] / [`n_tree_sim_detect`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DetectTree {
     labels: Vec<u32>,
     countable: Vec<bool>,
@@ -254,12 +147,9 @@ impl DetectTreeBuilder {
         builder.tree.child_count.reserve(nodes);
         builder.tree.child_start.reserve(nodes);
         builder.tree.children.reserve(nodes);
-        // Seed the symbol index at a page-typical size (a few dozen
-        // distinct labels) so interning skips the early grow-and-rehash
-        // rounds at 16 and 32 slots.
-        builder.tree.symbols.index.resize(64, 0);
-        builder.tree.symbols.buf.reserve(256);
-        builder.tree.symbols.spans.reserve(48);
+        // Size the symbol table for a page-typical few dozen distinct
+        // labels so interning skips the early grow-and-rehash rounds.
+        builder.tree.symbols = SymbolTable::with_capacity(48);
         builder
     }
 

@@ -33,6 +33,7 @@ cargo build --release --quiet
 BIN=target/release/cookiepicker
 
 SERVE_LOG="$(mktemp /tmp/cp_serve.XXXXXX.log)"
+: >"$SERVE_LOG"
 "$BIN" serve --port 0 --seed "$SEED" --workers "$THREADS" >"$SERVE_LOG" &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT INT TERM

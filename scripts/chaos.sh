@@ -38,8 +38,10 @@ ORACLE_MARKS="$(mktemp /tmp/cp_chaos_oracle_marks.XXXXXX.txt)"
 CHAOS_MARKS="$(mktemp /tmp/cp_chaos_faulty_marks.XXXXXX.txt)"
 ORACLE_OUT="$(mktemp /tmp/cp_chaos_oracle_report.XXXXXX.json)"
 
+: >"$ORACLE_LOG"
 "$BIN" serve --port 0 --seed "$SEED" --workers "$THREADS" >"$ORACLE_LOG" &
 ORACLE_PID=$!
+: >"$CHAOS_LOG"
 "$BIN" serve --port 0 --seed "$SEED" --workers "$THREADS" \
     --chaos-rate "$RATE" >"$CHAOS_LOG" &
 CHAOS_PID=$!

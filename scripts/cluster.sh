@@ -91,6 +91,7 @@ await_port() {
 start_node() {
     NODE_LOG="$1"
     shift
+    : >"$NODE_LOG"
     "$BIN" serve --port 0 --seed "$SEED" --workers 2 --repl-port 0 "$@" >"$NODE_LOG" &
     NODE_PID=$!
     PIDS="$PIDS $NODE_PID"
@@ -103,6 +104,7 @@ start_node() {
 # Starts the chaos proxy in front of $2 with schedule $3; sets PROXY_PID,
 # PROXY_PORT. Phase transitions land in the log for await_phase.
 start_proxy() {
+    : >"$1"
     "$BIN" chaos-proxy --target "127.0.0.1:$2" --schedule "$3" --seed "$SEED" >"$1" 2>&1 &
     PROXY_PID=$!
     PIDS="$PIDS $PROXY_PID"
@@ -183,6 +185,7 @@ start_cluster() {
     N2_PID=$NODE_PID; N2_PORT=$NODE_PORT; N2_REPL=$NODE_REPL
     start_node "$WORK/$1-node3.log"
     N3_PID=$NODE_PID; N3_PORT=$NODE_PORT; N3_REPL=$NODE_REPL
+    : >"$WORK/$1-router.log"
     "$BIN" route --port 0 --workers "$THREADS" --heartbeat-ms 100 --miss-threshold 3 \
         --backend "127.0.0.1:$N1_PORT,127.0.0.1:$N1_REPL" \
         --backend "127.0.0.1:$N2_PORT,127.0.0.1:$N2_REPL" \
@@ -214,6 +217,7 @@ FAIL=0
 
 # ---- Phase 1: single-node oracle ------------------------------------------
 ORACLE_LOG="$WORK/oracle.log"
+: >"$ORACLE_LOG"
 "$BIN" serve --port 0 --seed "$SEED" --workers "$THREADS" >"$ORACLE_LOG" &
 ORACLE_PID=$!
 PIDS="$PIDS $ORACLE_PID"
@@ -358,6 +362,7 @@ wait "$HEAL_B_PID" 2>/dev/null || true
 "$BIN" loadgen --port "$HEAL_A_PORT" --threads "$THREADS" --requests "$((REQUESTS / 4))" \
     --seed "$SEED" >/dev/null
 sleep 0.2
+: >"$WORK/restart-b.log"
 "$BIN" serve --port 0 --seed "$SEED" --workers 2 --repl-port "$HEAL_B_REPL" \
     >"$WORK/restart-b.log" &
 RESTART_B_PID=$!

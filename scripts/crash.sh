@@ -86,6 +86,7 @@ rps_of() {
 
 # ---- Phase 1: in-memory oracle --------------------------------------------
 ORACLE_LOG="$WORK/oracle.log"
+: >"$ORACLE_LOG"
 "$BIN" serve --port 0 --seed "$SEED" --workers "$THREADS" >"$ORACLE_LOG" &
 SERVER_PID=$!
 await_port "$ORACLE_LOG"
@@ -97,6 +98,7 @@ MEM_RPS="$(rps_of "$WORK/oracle.json")"
 
 # ---- Phase 2: durable baseline (fault-free) -------------------------------
 DUR_LOG="$WORK/durable.log"
+: >"$DUR_LOG"
 "$BIN" serve --port 0 --seed "$SEED" --workers "$THREADS" \
     --data-dir "$WORK/base" --fsync batch >"$DUR_LOG" &
 SERVER_PID=$!
@@ -116,6 +118,7 @@ grep -q '"wal_records": 0' "$WORK/durable.json" \
 
 # Clean restart on the same dir: the shutdown snapshot covers the WAL.
 DUR2_LOG="$WORK/durable_restart.log"
+: >"$DUR2_LOG"
 "$BIN" serve --port 0 --seed "$SEED" --workers "$THREADS" \
     --data-dir "$WORK/base" --fsync batch >"$DUR2_LOG" &
 SERVER_PID=$!
@@ -126,6 +129,7 @@ stop_server
 
 # ---- Phase 3: kill -9 mid-load with storage faults ------------------------
 CRASH_LOG="$WORK/crash.log"
+: >"$CRASH_LOG"
 "$BIN" serve --port 0 --seed "$SEED" --workers "$THREADS" \
     --data-dir "$WORK/crashed" --fsync batch \
     --storage-fault-rate "$RATE" --storage-fault-seed "$SEED" >"$CRASH_LOG" &
@@ -151,6 +155,7 @@ cp -r "$WORK/crashed" "$WORK/crashed_copy"
 
 # ---- Phase 4: recover the crashed dir -------------------------------------
 REC_LOG="$WORK/recover.log"
+: >"$REC_LOG"
 "$BIN" serve --port 0 --seed "$SEED" --workers "$THREADS" \
     --data-dir "$WORK/crashed" --fsync batch >"$REC_LOG" &
 SERVER_PID=$!
@@ -183,6 +188,7 @@ stop_server
 
 # Clean restart after recovery: the post-recovery snapshot covers the log.
 REC2_LOG="$WORK/recover_restart.log"
+: >"$REC2_LOG"
 "$BIN" serve --port 0 --seed "$SEED" --workers "$THREADS" \
     --data-dir "$WORK/crashed" --fsync batch >"$REC2_LOG" &
 SERVER_PID=$!
@@ -193,6 +199,7 @@ stop_server
 
 # ---- Phase 5: recovery is deterministic -----------------------------------
 REC3_LOG="$WORK/recover_copy.log"
+: >"$REC3_LOG"
 "$BIN" serve --port 0 --seed "$SEED" --workers "$THREADS" \
     --data-dir "$WORK/crashed_copy" --fsync batch >"$REC3_LOG" &
 SERVER_PID=$!

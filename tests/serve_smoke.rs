@@ -63,6 +63,22 @@ fn classify_round_trips_a_decision() {
 }
 
 #[test]
+fn deeply_nested_classify_page_is_answered_and_the_server_lives() {
+    // 20,000 nested <div>s (about 100 KB, under the 1 MiB body cap): a
+    // parse or analysis that recursed per level would overflow the event
+    // loop thread's stack and abort the whole process.
+    let server = test_server();
+    let deep = "<div>".repeat(20_000) + "deep text";
+    let payload = Json::object()
+        .set("regular", deep.as_str())
+        .set("hidden", "<html><body><p>shallow</p></body></html>")
+        .to_compact();
+    let resp = one_shot(&server, "POST", "/v1/classify", payload.as_bytes());
+    assert_eq!(resp.status, 200, "{}", resp.body_string());
+    assert_eq!(one_shot(&server, "GET", "/healthz", b"").status, 200);
+}
+
+#[test]
 fn malformed_requests_get_400() {
     let server = test_server();
     // Invalid JSON body on a valid route.
