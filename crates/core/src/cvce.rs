@@ -416,28 +416,32 @@ fn classify_trimmed(bytes: &[u8]) -> TextClass {
     TextClass::Keep(hash)
 }
 
-fn walk<S: ContentSink>(doc: &Document, node: NodeId, sink: &mut S) {
-    match doc.data(node) {
-        NodeData::Text(text) => sink_text(text, sink),
-        NodeData::Element { name, .. } => {
-            if noise_container(name)
-                || ad_container(doc, node)
-                || !cp_html::is_node_visible(doc, node)
-            {
-                return;
-            }
-            sink.enter(name);
-            for &c in doc.children(node) {
-                walk(doc, c, sink);
-            }
+/// Feeds `root`'s subtree to `sink` in document order. Iterative: the
+/// pending nodes live on a heap stack (`None` closes an entered element),
+/// so no page is deep enough to overflow the thread's stack.
+fn walk<S: ContentSink>(doc: &Document, root: NodeId, sink: &mut S) {
+    let mut stack = vec![Some(root)];
+    while let Some(item) = stack.pop() {
+        let Some(node) = item else {
             sink.leave();
-        }
-        NodeData::Document => {
-            for &c in doc.children(node) {
-                walk(doc, c, sink);
+            continue;
+        };
+        match doc.data(node) {
+            NodeData::Text(text) => sink_text(text, sink),
+            NodeData::Element { name, .. } => {
+                if noise_container(name)
+                    || ad_container(doc, node)
+                    || !cp_html::is_node_visible(doc, node)
+                {
+                    continue;
+                }
+                sink.enter(name);
+                stack.push(None);
+                stack.extend(doc.children(node).iter().rev().map(|&c| Some(c)));
             }
+            NodeData::Document => stack.extend(doc.children(node).iter().rev().map(|&c| Some(c))),
+            NodeData::Comment(_) | NodeData::Doctype { .. } => {}
         }
-        NodeData::Comment(_) | NodeData::Doctype { .. } => {}
     }
 }
 

@@ -57,37 +57,24 @@ impl DiffReport {
 
 fn countable_paths(view: &DomTreeView<'_>, max_level: usize) -> Vec<(cp_html::NodeId, String)> {
     // Mirror RSTM's pruned walk: stop at leaves, uncountable nodes, and the
-    // level bound.
-    fn rec(
-        view: &DomTreeView<'_>,
-        node: cp_html::NodeId,
-        level: usize,
-        max_level: usize,
-        path: &mut String,
-        out: &mut Vec<(cp_html::NodeId, String)>,
-    ) {
-        let current = level + 1;
-        if current > max_level || !view.countable(node) {
-            return;
-        }
+    // level bound. Preorder from an explicit stack of `(node, level, index
+    // of the parent's path in out)`, so `--level` never bounds the depth
+    // the thread's stack must hold.
+    let mut out: Vec<(cp_html::NodeId, String)> = Vec::new();
+    let mut stack: Vec<(_, usize, Option<usize>)> =
+        view.root().map(|r| (r, 1, None)).into_iter().collect();
+    while let Some((node, level, parent)) = stack.pop() {
         let children = view.children(node);
-        if children.is_empty() {
-            return;
+        if level > max_level || !view.countable(node) || children.is_empty() {
+            continue;
         }
-        let saved = path.len();
-        if !path.is_empty() {
-            path.push(':');
-        }
-        path.push_str(view.label(node));
-        out.push((node, path.clone()));
-        for c in children {
-            rec(view, c, current, max_level, path, out);
-        }
-        path.truncate(saved);
-    }
-    let mut out = Vec::new();
-    if let Some(root) = view.root() {
-        rec(view, root, 0, max_level, &mut String::new(), &mut out);
+        let path = match parent {
+            Some(i) => format!("{}:{}", out[i].1, view.label(node)),
+            None => view.label(node).to_string(),
+        };
+        out.push((node, path));
+        let me = Some(out.len() - 1);
+        stack.extend(children.into_iter().rev().map(|c| (c, level + 1, me)));
     }
     out
 }
@@ -206,5 +193,22 @@ mod tests {
         for p in &r.unmatched_regular {
             assert!(p.starts_with("body"), "path {p} should start at body");
         }
+    }
+
+    #[test]
+    fn deeply_nested_pages_are_explained_on_a_default_test_thread() {
+        // 200,000 nested divs: the walkers on the explain path (content
+        // extraction, the unmatched-path listing) must hold the page's
+        // depth on the heap, not on this thread's 2 MiB stack.
+        let depth = 200_000;
+        let (open, close) = ("<div>".repeat(depth), "</div>".repeat(depth));
+        let deep = format!("<body>{open}<p>deep</p>{close}</body>");
+        let deep = parse_document(&deep);
+        let shallow = parse_document("<body><div><p>shallow</p></div></body>");
+        let r = explain(&deep, &shallow, &cfg());
+        assert!(r.contexts_only_regular.iter().any(|c| c.ends_with("div:p")), "{r:?}");
+        assert!(r.contexts_only_hidden.iter().any(|c| c == "body:div:p"), "{r:?}");
+        let set = content_extract(&deep, deep.body().unwrap());
+        assert_eq!(set.len(), 1);
     }
 }

@@ -15,7 +15,7 @@
 //!   sees silence (the asymmetric-partition case);
 //! * `throttle=N` — both directions trickle at N bytes/second in small
 //!   seeded chunks, the slow-link case that must demote a follower to
-//!   catching-up without killing its stream.
+//!   behind without killing its stream.
 //!
 //! Faults come from a *schedule* — `open:500,cut:1000,open:0` holds each
 //! phase for its duration in ms, `0` meaning forever — so a chaos run is

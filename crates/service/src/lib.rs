@@ -18,16 +18,16 @@
 //!
 //! Layering: [`http`] is the wire (strict incremental HTTP/1.1 parser,
 //! typed errors, never a panic), [`store`] is the host-sharded training
-//! state, [`storage`]/[`wal`]/[`snapshot`] make it crash-safe (per-shard
-//! write-ahead logs + atomic snapshots over a fault-injectable write
-//! layer), [`world`] is the embedded deterministic site population,
+//! state, [`storage`]/[`wal`]/[`snapshot`] make it crash-safe (one
+//! write-ahead log and one atomic snapshot per node, over a
+//! fault-injectable write layer), [`world`] is the embedded deterministic site population,
 //! [`metrics`] is the atomic registry, [`server`] wires them behind the
 //! sharded readiness loop, and [`loadgen`] is the seeded
 //! closed-loop client that benchmarks the whole stack.
 //!
-//! Cluster mode layers on top: [`replication`] ships every applied WAL
-//! record from a primary to its followers over the WAL's own frame format
-//! (generation-fenced, ack-gated), and [`router`] is the thin tier that
+//! Cluster mode layers on top: [`replication`] streams a primary's log to
+//! its followers frame for frame, a cursor per follower (generation-fenced,
+//! lineage-checked, ack-gated), and [`router`] is the thin tier that
 //! consistent-hashes reads across backends, heartbeats them, and promotes
 //! the most-caught-up follower when the primary dies. See `DESIGN.md` §15.
 

@@ -202,29 +202,29 @@ pub struct ServiceMetrics {
     /// Followers the current replicator streams to (bounds the rendered
     /// `cp_repl_records_total{peer}` series).
     repl_peer_count: AtomicUsize,
-    /// Max records any *connected* follower trails the primary's shipped
-    /// count (down peers are excluded — see `cp_repl_peer_up`).
+    /// Max records any *connected* follower trails the primary's log head
+    /// (down peers are excluded — see `cp_repl_peer_up`).
     pub repl_lag_records: Gauge,
-    /// 1 while the peer's stream is connected (live or catching-up),
+    /// 1 while the peer's stream is connected (live or behind),
     /// 0 while it is down; indexed like `repl_records`.
     repl_peer_up: [Gauge; MAX_REPL_PEERS],
-    /// Full replication round-trip per shipped record (encode → every
-    /// live follower acked), in microseconds.
+    /// Time a write waits for its followers' acks (every live follower
+    /// acked, or the deadline), in microseconds.
     pub repl_ack_micros: Histogram,
     /// Peers brought back to the live stream after a disconnect or
     /// demotion (each is one completed resync).
     pub repl_resync_total: Counter,
-    /// Backlog records replayed to catching-up or reconnecting peers.
+    /// Log-tail records streamed to peers that were behind the head.
     pub repl_resync_records_total: Counter,
-    /// Live peers demoted to catching-up for missing the per-ship ack
-    /// deadline.
+    /// Live peers demoted to behind for missing a write's ack deadline.
     pub repl_slow_demotions_total: Counter,
-    /// Bootstrap hints sent to peers beyond the backlog (primary side).
+    /// Bootstrap hints sent to peers the log tail cannot stream to
+    /// (primary side).
     pub repl_bootstrap_hints_total: Counter,
     /// Snapshot bootstraps installed (follower side).
     pub repl_bootstrap_total: Counter,
-    /// Worst single-ship wall time since start, in microseconds — the
-    /// stall a slow follower actually added to a client write.
+    /// Worst single ack wait since start, in microseconds — the stall a
+    /// slow follower actually added to a client write.
     pub repl_ack_stall_max_micros: Gauge,
     /// Primary promotions performed (bumped by the router tier).
     pub failover_total: Counter,
@@ -452,10 +452,10 @@ impl ServiceMetrics {
         }
     }
 
-    /// Records one acked replicated record for follower `peer` (peers
-    /// beyond the fixed slots share the last one).
-    pub fn record_repl_ship(&self, peer: usize) {
-        self.repl_records[peer.min(MAX_REPL_PEERS - 1)].inc();
+    /// Records `records` newly acked replicated records for follower
+    /// `peer` (peers beyond the fixed slots share the last one).
+    pub fn record_repl_acks(&self, peer: usize, records: u64) {
+        self.repl_records[peer.min(MAX_REPL_PEERS - 1)].add(records);
     }
 
     /// The current value of one `cp_repl_records_total{peer}` series.
@@ -867,9 +867,8 @@ mod tests {
         assert!(!empty.contains("cp_repl_ack_micros_bucket"));
 
         m.set_repl_peers(2);
-        m.record_repl_ship(0);
-        m.record_repl_ship(0);
-        m.record_repl_ship(1);
+        m.record_repl_acks(0, 2);
+        m.record_repl_acks(1, 1);
         m.repl_lag_records.set(3);
         m.repl_ack_micros.observe(120);
         m.failover_total.inc();
@@ -907,7 +906,7 @@ mod tests {
         // Peers beyond the fixed slots share the last counter; the peer
         // count is capped to the rendered range.
         m.set_repl_peers(64);
-        m.record_repl_ship(63);
+        m.record_repl_acks(63, 1);
         assert_eq!(m.repl_records_count(MAX_REPL_PEERS - 1), 1);
         let text = m.render_prometheus();
         assert!(text.contains("cp_repl_records_total{peer=\"7\"}"));

@@ -4,10 +4,13 @@
 //! leads backend 0 at generation 1 on startup, heartbeats every backend's
 //! `/healthz`, and when the primary misses [`RouterConfig::miss_threshold`]
 //! consecutive heartbeats it promotes the **most caught-up** alive
-//! follower (highest `replication_applied_seq`) at `generation + 1` via
-//! `POST /v1/repl/lead`. Because the primary only acked writes a quorum
-//! of followers had applied, the most caught-up follower holds every
-//! acked record — promotion loses nothing (DESIGN.md §15).
+//! follower at `generation + 1` via `POST /v1/repl/lead`: the newest
+//! lineage first (`replication_last_generation`, the generation of the
+//! node's last record), then the highest `replication_applied_seq`.
+//! Because the primary only acked writes a quorum of followers had
+//! applied, that follower holds every acked record — promotion loses
+//! nothing (DESIGN.md §15). Sequence numbers alone would mislead: a
+//! deposed primary can hold a long tail of records no one acked.
 //!
 //! Request routing is deliberately simple:
 //!
@@ -145,8 +148,11 @@ struct BackendState {
     /// Consecutive failed heartbeats.
     misses: AtomicU64,
     /// `replication_applied_seq` from the last good heartbeat — the
-    /// promotion tiebreaker.
+    /// promotion tiebreaker within a lineage.
     applied_seq: AtomicU64,
+    /// `replication_last_generation` from the last good heartbeat — the
+    /// generation of the backend's last record, compared first.
+    last_generation: AtomicU64,
     /// `replication_resyncs` from the last good heartbeat — completed
     /// follower resyncs this backend has performed as primary.
     resyncs: AtomicU64,
@@ -441,6 +447,9 @@ fn probe_backend(
     if let Some(seq) = health.get("replication_applied_seq").and_then(Json::as_f64) {
         shared.states[idx].applied_seq.store(seq as u64, Ordering::Release);
     }
+    if let Some(generation) = health.get("replication_last_generation").and_then(Json::as_f64) {
+        shared.states[idx].last_generation.store(generation as u64, Ordering::Release);
+    }
     if let Some(resyncs) = health.get("replication_resyncs").and_then(Json::as_f64) {
         shared.states[idx].resyncs.store(resyncs as u64, Ordering::Release);
     }
@@ -453,14 +462,21 @@ fn probe_backend(
     true
 }
 
-/// Promotes the alive backend with the highest applied sequence at
-/// `generation + 1`. A failed lead leaves everything unchanged — the next
-/// heartbeat tick retries.
+/// The alive backend to promote: the newest last-record generation, then
+/// the highest applied sequence.
+fn promotion_candidate(states: &[BackendState]) -> Option<usize> {
+    let lineage = |s: &BackendState| {
+        (s.last_generation.load(Ordering::Acquire), s.applied_seq.load(Ordering::Acquire))
+    };
+    (0..states.len())
+        .filter(|&idx| states[idx].alive.load(Ordering::Acquire))
+        .max_by_key(|&idx| lineage(&states[idx]))
+}
+
+/// Promotes [`promotion_candidate`] at `generation + 1`. A failed lead
+/// leaves everything unchanged — the next heartbeat tick retries.
 fn try_promote(shared: &Arc<RouterShared>, clients: &mut HashMap<usize, Client>) {
-    let candidate = (0..shared.backends.len())
-        .filter(|&idx| shared.alive(idx))
-        .max_by_key(|&idx| shared.states[idx].applied_seq.load(Ordering::Acquire));
-    let Some(new_primary) = candidate else { return };
+    let Some(new_primary) = promotion_candidate(&shared.states) else { return };
     let generation = shared.generation.load(Ordering::Acquire) + 1;
     let followers: Vec<String> = (0..shared.backends.len())
         .filter(|&idx| idx != new_primary && shared.alive(idx))
@@ -707,6 +723,24 @@ mod tests {
             state.alive.store(false, Ordering::Release);
         }
         assert_eq!(ring_route(&ring, &states, b"news1.example", 2), 2);
+    }
+
+    #[test]
+    fn promotion_prefers_the_newer_lineage_over_the_longer_log() {
+        let state = |alive: bool, last_generation: u64, applied_seq: u64| BackendState {
+            alive: AtomicBool::new(alive),
+            last_generation: AtomicU64::new(last_generation),
+            applied_seq: AtomicU64::new(applied_seq),
+            ..BackendState::default()
+        };
+        // Backend 0 is a deposed generation-1 primary with a long unacked
+        // tail; backend 1 holds generation 2's acked records.
+        let states = [state(true, 1, 43), state(true, 2, 11), state(true, 2, 9)];
+        assert_eq!(promotion_candidate(&states), Some(1));
+        // Within one lineage the longer log wins; dead backends never do.
+        let states = [state(true, 2, 9), state(false, 2, 30), state(true, 2, 12)];
+        assert_eq!(promotion_candidate(&states), Some(2));
+        assert_eq!(promotion_candidate(&[state(false, 1, 1)]), None);
     }
 
     fn request(

@@ -1,20 +1,22 @@
-//! Per-shard snapshots: a checkpoint of one shard's entries.
+//! The node's snapshot: a checkpoint of the whole store at one sequence
+//! number of its log.
 //!
-//! A snapshot folds the shard's whole state into a single file so the
-//! WAL can be truncated — the durability ladder's compaction rung.
-//! Writes are crash-safe by construction: encode to a buffer, write to
-//! `snapshot-NN.tmp` (through the same fault-aware [`StorageFile`] layer
-//! as the WAL, with the same truncate-and-retry discipline), sync,
-//! atomically rename over `snapshot-NN.snap`, then sync the directory.
-//! A crash at any point leaves either the old snapshot or the new one —
-//! never a half-written hybrid — and the trailing checksum catches any
-//! damage that slips through.
+//! A snapshot folds every entry into a single file so the log segments it
+//! covers can be deleted — the durability ladder's compaction rung. The
+//! same bytes are the body of `GET /v1/repl/snapshot`, which a follower
+//! installs to join a primary's lineage. Writes are crash-safe by
+//! construction: write `snapshot-node.tmp` (through the same fault-aware
+//! [`StorageFile`](crate::storage::StorageFile) layer as the log, with the
+//! same truncate-and-retry discipline), sync, atomically rename over
+//! `snapshot-node.snap`, then sync the directory. A crash at any point
+//! leaves either the old snapshot or the new one — never a half-written
+//! hybrid — and the trailing checksum catches any damage that slips
+//! through.
 //!
-//! Format: `CPSNAP01` magic, `u64` WAL generation + `u64` covered record
-//! count (this snapshot already contains the first `covered` records of
-//! that log generation — recovery skips them), `u32` entry count, entries
-//! sorted by host, trailing `u64` FNV-1a checksum over everything before
-//! it.
+//! Format: `CPSNAP02` magic, `u64` sequence number of the last record
+//! folded in (recovery replays only later ones), `u64` generation of that
+//! record (the node's lineage), `u32` entry count, entries sorted by host,
+//! trailing `u64` FNV-1a checksum over everything before it.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -27,60 +29,44 @@ use crate::storage::{open_storage, StorageFaults};
 use crate::store::SiteEntry;
 use crate::wal::codec::{fnv1a, put_str, put_strs, put_u32, put_u64, Cursor};
 
-const MAGIC: &[u8; 8] = b"CPSNAP01";
+const MAGIC: &[u8; 8] = b"CPSNAP02";
 const MAX_ATTEMPTS: usize = 8;
 
-/// The snapshot file for shard `shard` under `dir`.
-pub fn snapshot_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("snapshot-{shard:02}.snap"))
+/// Fault-stream tag of the snapshot file (the log file draws tag 0), so
+/// the two files see independent fault streams.
+const FAULT_TAG: u64 = u64::MAX;
+
+/// The node's snapshot file under `dir`.
+pub fn snapshot_path(dir: &Path) -> PathBuf {
+    dir.join("snapshot-node.snap")
 }
 
-fn tmp_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("snapshot-{shard:02}.tmp"))
-}
-
-/// What a snapshot file holds: the entries plus which WAL prefix they
-/// already contain.
+/// What a snapshot holds: the entries plus the log position they cover.
 #[derive(Debug)]
 pub struct SnapshotContents {
-    /// The restored shard entries.
+    /// The restored entries.
     pub entries: HashMap<String, SiteEntry>,
-    /// The WAL generation the snapshot was cut against.
-    pub wal_generation: u64,
-    /// How many records of that generation are folded in.
-    pub wal_covered: u64,
+    /// Sequence number of the last record folded in.
+    pub seq: u64,
+    /// Generation of that record.
+    pub generation: u64,
 }
 
-/// Encodes entries as a snapshot blob — also the wire format of
-/// `GET /v1/repl/snapshot` (the bootstrap transfer reuses the exact
-/// on-disk image: magic, generation, covered count, sorted entries,
-/// trailing checksum).
-pub(crate) fn encode_snapshot_bytes(
-    entries: &HashMap<String, SiteEntry>,
-    wal_generation: u64,
-    wal_covered: u64,
+/// Encodes `entries` (in any order) as a snapshot covering record `seq`
+/// of `generation`.
+pub(crate) fn encode<'a>(
+    entries: impl Iterator<Item = (&'a String, &'a SiteEntry)>,
+    seq: u64,
+    generation: u64,
 ) -> Vec<u8> {
-    encode(entries, wal_generation, wal_covered)
-}
-
-/// Decodes a snapshot blob (file bytes or a bootstrap transfer body).
-pub(crate) fn decode_snapshot_bytes(
-    bytes: &[u8],
-    stability_window: usize,
-) -> Option<SnapshotContents> {
-    decode(bytes, stability_window)
-}
-
-fn encode(entries: &HashMap<String, SiteEntry>, wal_generation: u64, wal_covered: u64) -> Vec<u8> {
-    let mut hosts: Vec<&String> = entries.keys().collect();
-    hosts.sort_unstable();
+    let mut entries: Vec<_> = entries.collect();
+    entries.sort_unstable_by_key(|(host, _)| *host);
     let mut out = Vec::with_capacity(256);
     out.extend_from_slice(MAGIC);
-    put_u64(&mut out, wal_generation);
-    put_u64(&mut out, wal_covered);
-    put_u32(&mut out, hosts.len() as u32);
-    for host in hosts {
-        let entry = &entries[host];
+    put_u64(&mut out, seq);
+    put_u64(&mut out, generation);
+    put_u32(&mut out, entries.len() as u32);
+    for (host, entry) in entries {
         put_str(&mut out, host);
         let marked: Vec<&str> = entry.marked.iter().map(String::as_str).collect();
         put_strs(&mut out, &marked);
@@ -108,15 +94,16 @@ fn encode(entries: &HashMap<String, SiteEntry>, wal_generation: u64, wal_covered
     out
 }
 
-fn decode(bytes: &[u8], stability_window: usize) -> Option<SnapshotContents> {
+/// Decodes a snapshot (file bytes or a bootstrap transfer body).
+pub(crate) fn decode(bytes: &[u8], stability_window: usize) -> Option<SnapshotContents> {
     let body = bytes.get(..bytes.len().checked_sub(8)?)?;
     let sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8-byte slice"));
     if fnv1a(body) != sum || body.get(..8)? != MAGIC {
         return None;
     }
     let mut cur = Cursor::new(&body[8..]);
-    let wal_generation = cur.u64()?;
-    let wal_covered = cur.u64()?;
+    let seq = cur.u64()?;
+    let generation = cur.u64()?;
     let count = cur.u32()?;
     let mut entries = HashMap::with_capacity(count as usize);
     for _ in 0..count {
@@ -168,28 +155,21 @@ fn decode(bytes: &[u8], stability_window: usize) -> Option<SnapshotContents> {
         };
         entries.insert(host, entry);
     }
-    cur.done().then_some(SnapshotContents { entries, wal_generation, wal_covered })
+    cur.done().then_some(SnapshotContents { entries, seq, generation })
 }
 
-/// Writes shard `shard`'s entries as an atomic snapshot covering the
-/// first `wal_covered` records of WAL generation `wal_generation`.
-#[allow(clippy::too_many_arguments)] // one checkpoint's worth of context
+/// Atomically replaces the node's snapshot file with `encoded`.
 pub fn write_snapshot(
     dir: &Path,
-    shard: usize,
-    entries: &HashMap<String, SiteEntry>,
-    wal_generation: u64,
-    wal_covered: u64,
+    encoded: &[u8],
     faults: Option<StorageFaults>,
-    tag: u64,
     metrics: &Arc<ServiceMetrics>,
 ) -> std::io::Result<()> {
-    let encoded = encode(entries, wal_generation, wal_covered);
-    let tmp = tmp_path(dir, shard);
+    let tmp = dir.join("snapshot-node.tmp");
     let mut last_err = None;
     let mut written = false;
     {
-        let mut file = open_storage(&tmp, 0, faults, tag, metrics)?;
+        let mut file = open_storage(&tmp, 0, faults, FAULT_TAG, metrics)?;
         for _ in 0..MAX_ATTEMPTS {
             // Any failure rewinds to an empty tmp file and rewrites the
             // whole image — same discipline as a WAL append.
@@ -217,23 +197,23 @@ pub fn write_snapshot(
         std::fs::remove_file(&tmp).ok();
         return Err(last_err.expect("loop ran at least once"));
     }
-    std::fs::rename(&tmp, snapshot_path(dir, shard))?;
-    // The rename itself must reach the disk before the WAL is truncated.
+    std::fs::rename(&tmp, snapshot_path(dir))?;
+    // The rename itself must reach the disk before the segments it
+    // covers are deleted.
     std::fs::File::open(dir)?.sync_all()
 }
 
-/// Loads shard `shard`'s snapshot, if one exists.
+/// Loads the node's snapshot, if one exists.
 ///
 /// A malformed or checksum-failing snapshot is an error — unlike a torn
-/// WAL tail it cannot be the product of a clean kill (writes are atomic
+/// log tail it cannot be the product of a clean kill (writes are atomic
 /// via rename), so recovery fails loudly instead of silently dropping
 /// trained state.
 pub fn load_snapshot(
     dir: &Path,
-    shard: usize,
     stability_window: usize,
 ) -> std::io::Result<Option<SnapshotContents>> {
-    let path = snapshot_path(dir, shard);
+    let path = snapshot_path(dir);
     let bytes = match std::fs::read(&path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -255,6 +235,7 @@ mod tests {
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cp-snap-{}-{name}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -321,44 +302,47 @@ mod tests {
         }
     }
 
+    /// Writes `entries` as the snapshot of record `seq` of `generation`.
+    fn write(dir: &Path, entries: &HashMap<String, SiteEntry>, seq: u64, generation: u64) {
+        let metrics = Arc::new(ServiceMetrics::new());
+        write_snapshot(dir, &encode(entries.iter(), seq, generation), None, &metrics).unwrap();
+    }
+
     #[test]
     fn snapshot_round_trips() {
         let dir = tmp_dir("round");
-        let metrics = Arc::new(ServiceMetrics::new());
         let entries = sample_entries(5);
-        write_snapshot(&dir, 0, &entries, 3, 17, None, 0, &metrics).unwrap();
-        let loaded = load_snapshot(&dir, 0, 5).unwrap().expect("snapshot exists");
+        write(&dir, &entries, 17, 3);
+        let loaded = load_snapshot(&dir, 5).unwrap().expect("snapshot exists");
         assert_same(&entries, &loaded.entries);
-        assert_eq!(loaded.wal_generation, 3);
-        assert_eq!(loaded.wal_covered, 17);
-        // Absent shard → None; empty shard round-trips too.
-        assert!(load_snapshot(&dir, 7, 5).unwrap().is_none());
-        write_snapshot(&dir, 1, &HashMap::new(), 1, 0, None, 0, &metrics).unwrap();
-        assert_eq!(load_snapshot(&dir, 1, 5).unwrap().unwrap().entries.len(), 0);
+        assert_eq!((loaded.seq, loaded.generation), (17, 3));
+        // Absent → None; an empty store round-trips too.
+        assert!(load_snapshot(&tmp_dir("absent"), 5).unwrap().is_none());
+        write(&dir, &HashMap::new(), 0, 1);
+        assert_eq!(load_snapshot(&dir, 5).unwrap().unwrap().entries.len(), 0);
     }
 
     #[test]
     fn snapshot_encoding_is_deterministic() {
         let entries = sample_entries(5);
-        assert_eq!(encode(&entries, 1, 2), encode(&sample_entries(5), 1, 2));
+        assert_eq!(encode(entries.iter(), 1, 2), encode(sample_entries(5).iter(), 1, 2));
     }
 
     #[test]
     fn corrupt_snapshot_fails_loudly() {
         let dir = tmp_dir("corrupt");
-        let metrics = Arc::new(ServiceMetrics::new());
-        write_snapshot(&dir, 0, &sample_entries(5), 1, 2, None, 0, &metrics).unwrap();
-        let path = snapshot_path(&dir, 0);
+        write(&dir, &sample_entries(5), 2, 1);
+        let path = snapshot_path(&dir);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        let err = load_snapshot(&dir, 0, 5).unwrap_err();
+        let err = load_snapshot(&dir, 5).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         // A truncated snapshot (torn before the rename barrier could have
         // prevented it) is equally rejected.
         std::fs::write(&path, &bytes[..mid]).unwrap();
-        assert!(load_snapshot(&dir, 0, 5).is_err());
+        assert!(load_snapshot(&dir, 5).is_err());
     }
 
     #[test]
@@ -367,22 +351,21 @@ mod tests {
         let metrics = Arc::new(ServiceMetrics::new());
         let entries = sample_entries(5);
         let faults = StorageFaults::uniform(0x5A17, 0.4);
-        write_snapshot(&dir, 0, &entries, 1, 2, Some(faults), 9, &metrics).unwrap();
-        let loaded = load_snapshot(&dir, 0, 5).unwrap().expect("snapshot exists");
+        write_snapshot(&dir, &encode(entries.iter(), 2, 1), Some(faults), &metrics).unwrap();
+        let loaded = load_snapshot(&dir, 5).unwrap().expect("snapshot exists");
         assert_same(&entries, &loaded.entries);
     }
 
     #[test]
     fn rename_replaces_the_old_snapshot_atomically() {
         let dir = tmp_dir("replace");
-        let metrics = Arc::new(ServiceMetrics::new());
         let mut entries = sample_entries(5);
-        write_snapshot(&dir, 0, &entries, 1, 4, None, 0, &metrics).unwrap();
+        write(&dir, &entries, 4, 1);
         entries.get_mut("a.example").unwrap().probes = 99;
-        write_snapshot(&dir, 0, &entries, 1, 9, None, 0, &metrics).unwrap();
-        let loaded = load_snapshot(&dir, 0, 5).unwrap().unwrap();
+        write(&dir, &entries, 9, 1);
+        let loaded = load_snapshot(&dir, 5).unwrap().unwrap();
         assert_eq!(loaded.entries["a.example"].probes, 99);
-        assert_eq!(loaded.wal_covered, 9);
-        assert!(!tmp_path(&dir, 0).exists(), "tmp file consumed by rename");
+        assert_eq!(loaded.seq, 9);
+        assert!(!dir.join("snapshot-node.tmp").exists(), "tmp file consumed by rename");
     }
 }

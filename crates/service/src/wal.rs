@@ -1,34 +1,35 @@
-//! The per-shard append-only write-ahead log.
+//! The node's one write-ahead log — and, frame for frame, its replication
+//! stream.
 //!
-//! Every store mutation is one [`VisitEvent`], encoded as a checksummed,
-//! length-prefixed record and appended to the shard's log *before* the
-//! mutation is applied in memory (and so before any response is written
-//! — the ack barrier). Recovery replays the log over the last snapshot;
-//! a torn or checksum-failing suffix is discarded, so the recovered
-//! state is always a prefix of the acked event stream.
-//!
-//! Log layout:
+//! Every store mutation is one [`VisitEvent`], framed once as a
+//! checksummed, length-prefixed record and given the next global sequence
+//! number. The frame is appended here *before* the mutation is applied in
+//! memory (and so before any response is written — the ack barrier), and
+//! the same bytes go into the in-memory tail that followers are streamed
+//! from ([`Backlog`](crate::replication::Backlog)). Recovery replays the
+//! records after the node's snapshot; a torn or checksum-failing suffix is
+//! discarded, so the recovered state is always a prefix of the acked
+//! event stream.
 //!
 //! ```text
-//! [magic "CPWAL001"] [generation: u64 LE]      — 16-byte log header
-//! [len: u32 LE] [checksum: u64 LE] [payload]   — records, back to back
+//! wal-node.log
+//! [magic "CPWAL002"] [after: u64 LE] [generation: u64 LE]  — 24-byte header
+//! [len: u32 LE] [checksum: u64 LE] [payload]               — frames, back to back
 //! ```
 //!
-//! with `checksum = FNV-1a64(len_le ++ payload)` — the length is covered
-//! so a record whose length field was torn cannot masquerade as valid.
+//! The log holds records `after + 1, after + 2, …` (sequence numbers are
+//! implicit), sequenced under `generation` until a `GENERATION` control
+//! frame — the length word's high bit set ([`CONTROL_BIT`]) — announces
+//! that the records after it belong to a newer primary. A checkpoint
+//! resets the log to an empty one continuing after the snapshot. Frames
+//! carry `checksum = FNV-1a64(len_le) ^ rotl1(FNV-1a64(payload))`; the
+//! length is covered so a record whose length field was torn cannot
+//! masquerade as valid.
 //!
-//! The **generation** makes checkpointing unambiguous. A snapshot records
-//! `(generation, covered)`: "I already contain the first `covered`
-//! records of log generation `generation`". Truncating the log after a
-//! snapshot starts a fresh generation, so recovery can always tell a
-//! pre-truncation log (same generation → skip the covered prefix, it is
-//! in the snapshot) from a post-truncation one (new generation → replay
-//! everything) — even when both happen to hold the same record count.
-//!
-//! Write errors follow a truncate-and-retry discipline: any failed or
-//! torn append rewinds the file to the last committed offset and retries
-//! the whole record, so the log on disk is always a clean concatenation
-//! of complete records (plus at most one torn tail from the final crash).
+//! Write errors follow a truncate-and-retry discipline: a failed or torn
+//! append, or a sync that fails after it, rewinds the file to the last
+//! committed offset, so the log on disk is always a clean concatenation of
+//! complete frames (plus at most one torn tail from the final crash).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -44,11 +45,20 @@ pub const MAX_RECORD_BYTES: u32 = 1 << 20;
 /// Frame header size: `u32` length + `u64` checksum.
 pub(crate) const HEADER_BYTES: usize = 12;
 
-/// Log-file magic, followed by the `u64` generation.
-const LOG_MAGIC: &[u8; 8] = b"CPWAL001";
+/// High bit of the frame length word: set on control frames, never on
+/// records (records are capped at [`MAX_RECORD_BYTES`] = 1 MiB).
+pub(crate) const CONTROL_BIT: u32 = 1 << 31;
 
-/// Log header size: magic + generation.
-const LOG_HEADER_BYTES: usize = 16;
+/// Control frame kind: "the records that follow were sequenced under the
+/// `u64` generation in this payload".
+pub(crate) const CONTROL_GENERATION: u8 = 2;
+
+/// Log magic, followed by the `u64` sequence number the log continues
+/// after and the `u64` generation of that record.
+const LOG_MAGIC: &[u8; 8] = b"CPWAL002";
+
+/// Log header size: magic + after + generation.
+const LOG_HEADER_BYTES: usize = 24;
 
 /// Appends between syncs under [`FsyncPolicy::Batch`] — the starting
 /// point the [`GroupCommitTuner`] adapts from.
@@ -335,15 +345,8 @@ impl VisitEvent {
     /// Encodes the full framed record: header + payload.
     pub fn encode_record(&self) -> Vec<u8> {
         let payload = self.encode_payload();
-        let len = payload.len() as u32;
-        debug_assert!(len <= MAX_RECORD_BYTES, "oversized WAL record");
-        let mut framed = Vec::with_capacity(HEADER_BYTES + payload.len());
-        framed.extend_from_slice(&len.to_le_bytes());
-        let mut sum = codec::fnv1a(&len.to_le_bytes());
-        sum ^= codec::fnv1a(&payload).rotate_left(1);
-        framed.extend_from_slice(&sum.to_le_bytes());
-        framed.extend_from_slice(&payload);
-        framed
+        debug_assert!(payload.len() as u32 <= MAX_RECORD_BYTES, "oversized WAL record");
+        frame(payload.len() as u32, &payload)
     }
 }
 
@@ -352,16 +355,35 @@ pub(crate) fn frame_checksum(len_le: &[u8; 4], payload: &[u8]) -> u64 {
     codec::fnv1a(len_le) ^ codec::fnv1a(payload).rotate_left(1)
 }
 
-/// The log file for shard `shard` under `dir`.
-pub fn wal_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("wal-{shard:02}.log"))
+/// One frame: `len_word` (the payload length, plus [`CONTROL_BIT`] for a
+/// control frame), the checksum, the payload.
+fn frame(len_word: u32, payload: &[u8]) -> Vec<u8> {
+    let len_le = len_word.to_le_bytes();
+    let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len());
+    frame.extend_from_slice(&len_le);
+    frame.extend_from_slice(&frame_checksum(&len_le, payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// Frames one control frame of `kind`.
+pub(crate) fn control_frame(kind: u8, body: &[u8]) -> Vec<u8> {
+    let payload = [&[kind], body].concat();
+    frame(payload.len() as u32 | CONTROL_BIT, &payload)
+}
+
+/// The node's log file under `dir`.
+pub fn wal_path(dir: &Path) -> PathBuf {
+    dir.join("wal-node.log")
 }
 
 /// What [`read_log`] found in a log file.
 #[derive(Debug, Default, PartialEq)]
 pub struct LogContents {
-    /// The log's generation (0 when the header itself was missing/torn —
-    /// the log then also reports no events).
+    /// The sequence number the log's first record follows.
+    pub after: u64,
+    /// The generation of the last record (the header's when there is
+    /// none; 0 when the header itself was missing or torn).
     pub generation: u64,
     /// The decoded records of the valid prefix, in append order.
     pub events: Vec<VisitEvent>,
@@ -374,9 +396,9 @@ pub struct LogContents {
 /// Reads and validates a log file front to back.
 ///
 /// Validation stops at the first torn or checksum-failing byte; whatever
-/// precedes it is the valid prefix, whatever follows is reported as torn.
-/// A missing file is an empty log, as is one whose 16-byte header never
-/// made it to disk.
+/// precedes it is the valid prefix, whatever follows is reported as torn
+/// (a `GENERATION` frame counts once its record follows). A missing file
+/// is an empty log, as is one whose header never made it to disk.
 pub fn read_log(path: &Path) -> std::io::Result<LogContents> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
@@ -388,48 +410,117 @@ pub fn read_log(path: &Path) -> std::io::Result<LogContents> {
     if &header[..8] != LOG_MAGIC {
         return Ok(contents);
     }
-    contents.generation = u64::from_le_bytes(header[8..].try_into().expect("8-byte slice"));
-    let mut good = LOG_HEADER_BYTES;
-    while let Some(header) = bytes.get(good..good + HEADER_BYTES) {
+    contents.after = u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
+    contents.generation = u64::from_le_bytes(header[16..].try_into().expect("8-byte slice"));
+    let (mut good, mut at, mut generation) =
+        (LOG_HEADER_BYTES, LOG_HEADER_BYTES, contents.generation);
+    while let Some(header) = bytes.get(at..at + HEADER_BYTES) {
         let len_le: [u8; 4] = header[..4].try_into().expect("4-byte slice");
-        let len = u32::from_le_bytes(len_le);
+        let raw_len = u32::from_le_bytes(len_le);
+        let len = raw_len & !CONTROL_BIT;
         if len == 0 || len > MAX_RECORD_BYTES {
             break;
         }
         let sum = u64::from_le_bytes(header[4..].try_into().expect("8-byte slice"));
-        let Some(payload) = bytes.get(good + HEADER_BYTES..good + HEADER_BYTES + len as usize)
-        else {
-            break; // short payload: the torn tail of the final record
+        let Some(payload) = bytes.get(at + HEADER_BYTES..at + HEADER_BYTES + len as usize) else {
+            break; // short payload: the torn tail of the final frame
         };
         if frame_checksum(&len_le, payload) != sum {
             break;
         }
+        at += HEADER_BYTES + len as usize;
+        if raw_len & CONTROL_BIT != 0 {
+            match payload {
+                [CONTROL_GENERATION, g @ ..] if g.len() == 8 => {
+                    generation = u64::from_le_bytes(g.try_into().expect("8-byte slice"));
+                    continue;
+                }
+                _ => break,
+            }
+        }
         let Some(event) = VisitEvent::decode_payload(payload) else { break };
         contents.events.push(event);
-        good += HEADER_BYTES + len as usize;
+        contents.generation = generation;
+        good = at;
     }
     contents.good = good as u64;
     contents.torn = bytes.len() as u64 - contents.good;
     Ok(contents)
 }
 
-/// One shard's open write-ahead log.
+/// What [`recover`] rebuilt.
+#[derive(Debug)]
+pub struct Recovered {
+    /// The log, open for appending after `head`.
+    pub wal: Wal,
+    /// Sequence number of the last recovered record.
+    pub head: u64,
+    /// Generation of that record.
+    pub generation: u64,
+    /// Records replayed on top of the snapshot.
+    pub replayed: u64,
+    /// Torn or unusable bytes discarded.
+    pub torn: u64,
+}
+
+/// Replays the log under `dir` on top of a snapshot that covers record
+/// `seq` (of `generation`): every later record is passed to `apply`, in
+/// order, and the log reopens for appending after the last one with its
+/// torn tail cut off. A log that cannot continue the snapshot — no valid
+/// header, or one that starts past the snapshot or ends before it — is
+/// discarded for an empty one after the snapshot. A directory in the old
+/// per-shard layout is refused.
+pub fn recover(
+    dir: &Path,
+    seq: u64,
+    generation: u64,
+    fsync: FsyncPolicy,
+    faults: Option<StorageFaults>,
+    metrics: &Arc<ServiceMetrics>,
+    mut apply: impl FnMut(&VisitEvent),
+) -> std::io::Result<Recovered> {
+    if dir.join("wal-00.log").exists() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "{} holds the per-shard CPWAL001 logs of the old data-dir layout; this version \
+                 keeps one log per node and cannot recover them (start from an empty --data-dir)",
+                dir.display()
+            ),
+        ));
+    }
+    let path = wal_path(dir);
+    let mut contents = read_log(&path)?;
+    let mut torn = contents.torn;
+    let end = contents.after + contents.events.len() as u64;
+    if contents.good == 0 || contents.after > seq || end < seq {
+        torn += contents.good;
+        contents = LogContents { after: seq, generation, ..LogContents::default() };
+    }
+    let skip = (seq - contents.after) as usize;
+    for event in &contents.events[skip..] {
+        apply(event);
+    }
+    let replayed = (contents.events.len() - skip) as u64;
+    let generation = if replayed > 0 { contents.generation } else { generation };
+    let wal = Wal::open(&path, &contents, fsync, faults, metrics)?;
+    Ok(Recovered { head: wal.head(), wal, generation, replayed, torn })
+}
+
+/// The node's open write-ahead log.
 #[derive(Debug)]
 pub struct Wal {
     file: Box<dyn StorageFile>,
-    /// Byte offset of the end of the last fully committed record.
-    committed: u64,
-    /// Complete records in the file (committed prefix).
+    /// The log holds records `after + 1 ..= after + records`.
+    after: u64,
     records: u64,
-    /// This log's generation (bumped by [`reset`](Self::reset)).
-    generation: u64,
+    /// Byte offset of the end of the last fully committed frame.
+    committed: u64,
     /// Records appended since the last successful sync.
     pending: u64,
-    /// Whether the file may hold garbage past `committed` (a failed
-    /// append whose rewind also failed) — re-truncated before reuse.
-    dirty: bool,
-    /// Set when a reset failed mid-way: the on-disk layout is no longer
-    /// trustworthy, so appends refuse rather than ack into a broken log.
+    /// Set when a reset or a rewind failed: the on-disk layout is no
+    /// longer trustworthy, so appends refuse rather than ack into a
+    /// broken log.
     poisoned: bool,
     fsync: FsyncPolicy,
     /// Present under [`FsyncPolicy::Batch`] with no injected faults.
@@ -442,29 +533,24 @@ pub struct Wal {
 impl Wal {
     /// Opens the log at `path` from what [`read_log`] reported: truncating
     /// to `contents.good` discards a previous crash's torn tail before new
-    /// records follow it. A log with no valid header (fresh, or torn
-    /// before the header landed) is rewritten from scratch at `generation`
-    /// — pass one past the snapshot's generation so the fresh log can
-    /// never be mistaken for the one the snapshot covered.
+    /// frames follow it. A log with no valid header (fresh, or torn before
+    /// the header landed) is rewritten from scratch, continuing after
+    /// `contents.after` of `contents.generation`.
     pub fn open(
         path: &Path,
         contents: &LogContents,
-        generation: u64,
         fsync: FsyncPolicy,
         faults: Option<StorageFaults>,
-        tag: u64,
         metrics: &Arc<ServiceMetrics>,
     ) -> std::io::Result<Wal> {
         let fresh = contents.good < LOG_HEADER_BYTES as u64;
         let committed = if fresh { 0 } else { contents.good };
-        let file = open_storage(path, committed, faults, tag, metrics)?;
         let mut wal = Wal {
-            file,
+            file: open_storage(path, committed, faults, 0, metrics)?,
+            after: contents.after,
+            records: contents.events.len() as u64,
             committed,
-            records: if fresh { 0 } else { contents.events.len() as u64 },
-            generation: if fresh { generation } else { contents.generation },
             pending: 0,
-            dirty: false,
             poisoned: false,
             fsync,
             // Tuning changes the file-operation sequence, which would
@@ -476,36 +562,9 @@ impl Wal {
         };
         wal.file.truncate_to(committed)?;
         if fresh {
-            wal.write_header()?;
+            wal.reset(contents.after, contents.generation, || Ok(()))?;
         }
         Ok(wal)
-    }
-
-    /// Writes the 16-byte log header at the current (zero) offset, with
-    /// the append retry discipline.
-    fn write_header(&mut self) -> std::io::Result<()> {
-        debug_assert_eq!(self.committed, 0);
-        let mut header = Vec::with_capacity(LOG_HEADER_BYTES);
-        header.extend_from_slice(LOG_MAGIC);
-        header.extend_from_slice(&self.generation.to_le_bytes());
-        let mut last_err = None;
-        for _ in 0..MAX_ATTEMPTS {
-            if self.dirty {
-                self.file.truncate_to(0)?;
-                self.dirty = false;
-            }
-            match self.write_frame(&header) {
-                Ok(()) => {
-                    self.committed = LOG_HEADER_BYTES as u64;
-                    return Ok(());
-                }
-                Err(e) => {
-                    self.dirty = true;
-                    last_err = Some(e);
-                }
-            }
-        }
-        Err(last_err.expect("loop ran at least once"))
     }
 
     /// End of the committed prefix, in bytes.
@@ -513,49 +572,56 @@ impl Wal {
         self.committed
     }
 
-    /// Complete records in the log.
-    pub fn records(&self) -> u64 {
-        self.records
+    /// Sequence number of the last record in the log.
+    pub fn head(&self) -> u64 {
+        self.after + self.records
     }
 
-    /// The log's current generation.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Appends one record, retrying (with rewind to the committed offset)
-    /// on write errors, then syncs per the fsync policy. On `Ok`, the
-    /// record is fully in the file — the caller may ack.
-    pub fn append(&mut self, event: &VisitEvent) -> std::io::Result<()> {
+    /// Appends one frame — a record, possibly preceded by a `GENERATION`
+    /// frame — retrying (with rewind to the committed offset) on write
+    /// errors, then syncs per the fsync policy. On `Ok`, the record is
+    /// fully in the file and the caller may ack; on `Err` the log is as it
+    /// was.
+    pub fn append(&mut self, frame: &[u8]) -> std::io::Result<()> {
         if self.poisoned {
-            return Err(std::io::Error::other("wal poisoned by a failed truncation"));
+            return Err(std::io::Error::other("wal poisoned by a failed reset"));
         }
-        let frame = event.encode_record();
-        let mut last_err: Option<std::io::Error> = None;
-        let mut attempts = 0;
-        while attempts < MAX_ATTEMPTS {
-            attempts += 1;
-            if self.dirty {
-                self.file.truncate_to(self.committed)?;
-                self.dirty = false;
-            }
-            match self.write_frame(&frame) {
-                Ok(()) => {
-                    self.committed += frame.len() as u64;
-                    self.records += 1;
-                    self.pending += 1;
-                    self.metrics.wal_records_total.inc();
-                    return self.policy_sync();
-                }
+        self.write_retrying(frame)?;
+        self.pending += 1;
+        if let Err(e) = self.policy_sync() {
+            // Unsynced and unacked: take the record back out.
+            self.pending -= 1;
+            self.rewind()?;
+            return Err(e);
+        }
+        self.committed += frame.len() as u64;
+        self.records += 1;
+        self.metrics.wal_records_total.inc();
+        Ok(())
+    }
+
+    /// Writes `bytes` at the committed offset, retrying; a failed attempt
+    /// rewinds the file first, since it may hold a partial frame.
+    fn write_retrying(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        let mut last_err = None;
+        for _ in 0..MAX_ATTEMPTS {
+            match self.write_frame(bytes) {
+                Ok(()) => return Ok(()),
                 Err(e) => {
-                    // The file may hold a partial frame; rewind before the
-                    // next attempt (or the next append) writes anything.
-                    self.dirty = true;
+                    self.rewind()?;
                     last_err = Some(e);
                 }
             }
         }
         Err(last_err.expect("loop ran at least once"))
+    }
+
+    /// Truncates the file back to the committed prefix; a failure poisons
+    /// the log.
+    fn rewind(&mut self) -> std::io::Result<()> {
+        let result = self.file.truncate_to(self.committed);
+        self.poisoned |= result.is_err();
+        result
     }
 
     fn write_frame(&mut self, frame: &[u8]) -> std::io::Result<()> {
@@ -610,24 +676,28 @@ impl Wal {
         Err(last_err.expect("loop ran at least once"))
     }
 
-    /// Empties the log and starts the next generation (after its contents
-    /// were folded into a snapshot). A failed reset poisons the log —
-    /// its on-disk layout can no longer be trusted, so further appends
-    /// error instead of acking records recovery might not find.
-    pub fn reset(&mut self) -> std::io::Result<()> {
-        let result = (|| {
-            self.file.truncate_to(0)?;
-            self.committed = 0;
-            self.records = 0;
-            self.pending = 0;
-            self.dirty = false;
-            self.generation += 1;
-            self.write_header()
-        })();
-        if result.is_err() {
-            self.poisoned = true;
-        }
-        result
+    /// Empties the log for one continuing after record `after` of
+    /// `generation` — once a snapshot covers everything in it. The file is
+    /// truncated first, then `before_header` runs, then the new header is
+    /// written: a snapshot install writes its snapshot in between, so a
+    /// crash leaves either the old snapshot with an empty log or the new
+    /// one, never the new snapshot followed by another lineage's records.
+    /// A failure poisons the log until a later reset succeeds.
+    pub fn reset(
+        &mut self,
+        after: u64,
+        generation: u64,
+        before_header: impl FnOnce() -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        self.poisoned = true;
+        (self.after, self.records, self.committed, self.pending) = (after, 0, 0, 0);
+        self.file.truncate_to(0)?;
+        before_header()?;
+        let header = [&LOG_MAGIC[..], &after.to_le_bytes(), &generation.to_le_bytes()].concat();
+        self.write_retrying(&header)?;
+        self.committed = LOG_HEADER_BYTES as u64;
+        self.poisoned = false;
+        Ok(())
     }
 }
 
@@ -636,10 +706,17 @@ mod tests {
     use super::*;
     use crate::storage::StorageFaults;
 
-    fn tmp_dir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cp-wal-unit-{}", std::process::id()));
+    /// A fresh, empty directory for one test's log.
+    fn tmp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cp-wal-unit-{}-{name}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn open_fresh(dir: &Path, fsync: FsyncPolicy, faults: Option<StorageFaults>) -> Wal {
+        let metrics = Arc::new(ServiceMetrics::new());
+        Wal::open(&wal_path(dir), &LogContents::default(), fsync, faults, &metrics).unwrap()
     }
 
     fn sample_events() -> Vec<VisitEvent> {
@@ -672,6 +749,12 @@ mod tests {
         ]
     }
 
+    fn append_all(wal: &mut Wal, events: &[VisitEvent]) {
+        for event in events {
+            wal.append(&event.encode_record()).unwrap();
+        }
+    }
+
     #[test]
     fn payload_codec_round_trips() {
         for event in sample_events() {
@@ -690,19 +773,15 @@ mod tests {
 
     #[test]
     fn append_then_read_round_trips() {
-        let path = tmp_dir().join("round.log");
-        std::fs::remove_file(&path).ok();
+        let path = wal_path(&tmp_dir("round"));
         let metrics = Arc::new(ServiceMetrics::new());
         let mut wal =
-            Wal::open(&path, &LogContents::default(), 1, FsyncPolicy::Always, None, 0, &metrics)
-                .unwrap();
-        for event in sample_events() {
-            wal.append(&event).unwrap();
-        }
-        assert_eq!(wal.records(), 4);
+            Wal::open(&path, &LogContents::default(), FsyncPolicy::Always, None, &metrics).unwrap();
+        append_all(&mut wal, &sample_events());
+        assert_eq!(wal.head(), 4);
         let contents = read_log(&path).unwrap();
         assert_eq!(contents.events, sample_events());
-        assert_eq!(contents.generation, 1);
+        assert_eq!((contents.after, contents.generation), (0, 0));
         assert_eq!(contents.good, wal.committed());
         assert_eq!(contents.torn, 0);
         assert_eq!(metrics.wal_records_total.get(), 4);
@@ -711,16 +790,11 @@ mod tests {
 
     #[test]
     fn torn_tail_is_discarded_at_every_truncation_point() {
-        let path = tmp_dir().join("torn.log");
-        std::fs::remove_file(&path).ok();
-        let metrics = Arc::new(ServiceMetrics::new());
-        let mut wal =
-            Wal::open(&path, &LogContents::default(), 1, FsyncPolicy::Never, None, 0, &metrics)
-                .unwrap();
-        for event in sample_events() {
-            wal.append(&event).unwrap();
-        }
+        let dir = tmp_dir("torn");
+        let mut wal = open_fresh(&dir, FsyncPolicy::Never, None);
+        append_all(&mut wal, &sample_events());
         drop(wal);
+        let path = wal_path(&dir);
         let full = std::fs::read(&path).unwrap();
         let all = read_log(&path).unwrap();
         assert_eq!(all.events.len(), 4);
@@ -742,16 +816,11 @@ mod tests {
 
     #[test]
     fn corrupted_byte_stops_replay_at_the_damage() {
-        let path = tmp_dir().join("corrupt.log");
-        std::fs::remove_file(&path).ok();
-        let metrics = Arc::new(ServiceMetrics::new());
-        let mut wal =
-            Wal::open(&path, &LogContents::default(), 1, FsyncPolicy::Never, None, 0, &metrics)
-                .unwrap();
-        for event in sample_events() {
-            wal.append(&event).unwrap();
-        }
+        let dir = tmp_dir("corrupt");
+        let mut wal = open_fresh(&dir, FsyncPolicy::Never, None);
+        append_all(&mut wal, &sample_events());
         drop(wal);
+        let path = wal_path(&dir);
         let clean = std::fs::read(&path).unwrap();
         // Flip one byte in the records region: records up to the damage
         // survive, everything after is discarded.
@@ -777,19 +846,14 @@ mod tests {
         // The strong retry-correctness property: a fault-handled log holds
         // exactly the records whose append returned Ok, byte-identical to
         // a clean log of that subsequence.
-        let dir = tmp_dir();
-        let faulted_path = dir.join("fault.log");
-        let clean_path = dir.join("clean.log");
-        std::fs::remove_file(&faulted_path).ok();
-        std::fs::remove_file(&clean_path).ok();
+        let (faulted_dir, clean_dir) = (tmp_dir("fault"), tmp_dir("clean"));
         let metrics = Arc::new(ServiceMetrics::new());
         let faults = StorageFaults::uniform(0xFA17, 0.4);
         let fresh = LogContents::default();
         let mut faulted =
-            Wal::open(&faulted_path, &fresh, 1, FsyncPolicy::Batch, Some(faults), 1, &metrics)
+            Wal::open(&wal_path(&faulted_dir), &fresh, FsyncPolicy::Batch, Some(faults), &metrics)
                 .unwrap();
-        let mut clean =
-            Wal::open(&clean_path, &fresh, 1, FsyncPolicy::Batch, None, 0, &metrics).unwrap();
+        let mut clean = open_fresh(&clean_dir, FsyncPolicy::Batch, None);
         let mut acked = 0usize;
         for i in 0..200u64 {
             let event = VisitEvent {
@@ -806,15 +870,15 @@ mod tests {
                     EventKind::Observe
                 },
             };
-            if faulted.append(&event).is_ok() {
+            if faulted.append(&event.encode_record()).is_ok() {
                 acked += 1;
-                clean.append(&event).unwrap();
+                clean.append(&event.encode_record()).unwrap();
             }
         }
         assert!(metrics.wal_fault_total() > 0, "40% fault rate over 200 appends must fire");
         assert!(acked > 0, "8 retries at 40% rate ack almost everything");
-        let faulted = read_log(&faulted_path).unwrap();
-        let clean = read_log(&clean_path).unwrap();
+        let faulted = read_log(&wal_path(&faulted_dir)).unwrap();
+        let clean = read_log(&wal_path(&clean_dir)).unwrap();
         assert_eq!(faulted.events, clean.events);
         assert_eq!(faulted.events.len(), acked);
         assert_eq!(faulted.torn, 0, "every failed append was rewound");
@@ -822,14 +886,10 @@ mod tests {
 
     #[test]
     fn unwritable_wal_errors_without_corrupting_the_prefix() {
-        let path = tmp_dir().join("enospc.log");
-        std::fs::remove_file(&path).ok();
-        let metrics = Arc::new(ServiceMetrics::new());
-        let mut wal =
-            Wal::open(&path, &LogContents::default(), 1, FsyncPolicy::Never, None, 0, &metrics)
-                .unwrap();
+        let dir = tmp_dir("enospc");
+        let mut wal = open_fresh(&dir, FsyncPolicy::Never, None);
         let event = sample_events().remove(0);
-        wal.append(&event).unwrap();
+        wal.append(&event.encode_record()).unwrap();
         let committed = wal.committed();
         drop(wal);
         // Reopen with a certain-ENOSPC fault plan: appends must fail after
@@ -841,13 +901,14 @@ mod tests {
             enospc: 1.0,
             fail_fsync: 0.0,
         };
+        let path = wal_path(&dir);
         let contents = read_log(&path).unwrap();
         assert_eq!(contents.good, committed);
+        let metrics = Arc::new(ServiceMetrics::new());
         let mut wal =
-            Wal::open(&path, &contents, 1, FsyncPolicy::Never, Some(all_enospc), 0, &metrics)
-                .unwrap();
-        assert!(wal.append(&event).is_err());
-        assert_eq!(wal.committed(), committed);
+            Wal::open(&path, &contents, FsyncPolicy::Never, Some(all_enospc), &metrics).unwrap();
+        assert!(wal.append(&event.encode_record()).is_err());
+        assert_eq!((wal.committed(), wal.head()), (committed, 1));
         drop(wal);
         let contents = read_log(&path).unwrap();
         assert_eq!(contents.events, vec![event]);
@@ -856,27 +917,59 @@ mod tests {
     }
 
     #[test]
-    fn reset_empties_the_log_and_bumps_the_generation() {
-        let path = tmp_dir().join("reset.log");
-        std::fs::remove_file(&path).ok();
+    fn generation_frames_and_resets_shape_what_recovery_replays() {
+        let dir = tmp_dir("generations");
         let metrics = Arc::new(ServiceMetrics::new());
-        let mut wal =
-            Wal::open(&path, &LogContents::default(), 1, FsyncPolicy::Batch, None, 0, &metrics)
-                .unwrap();
-        for event in sample_events() {
-            wal.append(&event).unwrap();
+        let events = sample_events();
+        let mut wal = open_fresh(&dir, FsyncPolicy::Batch, None);
+        append_all(&mut wal, &events[..3]);
+        // A newer primary's record: the GENERATION frame travels with it.
+        let gen2 = control_frame(CONTROL_GENERATION, &2u64.to_le_bytes());
+        wal.append(&[gen2, events[3].encode_record()].concat()).unwrap();
+        drop(wal);
+        let contents = read_log(&wal_path(&dir)).unwrap();
+        assert_eq!((contents.events.len(), contents.generation), (4, 2));
+        // From scratch every record replays; over a snapshot of record 2
+        // only the later ones do.
+        for (seq, want) in [(0u64, &events[..]), (2, &events[2..])] {
+            let mut seen = Vec::new();
+            let recovered =
+                recover(&dir, seq, 0, FsyncPolicy::Batch, None, &metrics, |e| seen.push(e.clone()))
+                    .unwrap();
+            assert_eq!(seen, want);
+            assert_eq!((recovered.head, recovered.generation, recovered.torn), (4, 2, 0));
         }
-        wal.reset().unwrap();
-        assert_eq!(wal.committed(), LOG_HEADER_BYTES as u64);
-        assert_eq!(wal.records(), 0);
-        assert_eq!(wal.generation(), 2);
-        let contents = read_log(&path).unwrap();
-        assert!(contents.events.is_empty());
-        assert_eq!(contents.generation, 2);
-        assert_eq!((contents.good, contents.torn), (LOG_HEADER_BYTES as u64, 0));
-        // The log keeps working after a reset.
-        wal.append(&sample_events()[0]).unwrap();
-        assert_eq!(read_log(&path).unwrap().events.len(), 1);
+        // A checkpoint's reset: the log continues after the snapshot.
+        let mut wal = recover(&dir, 4, 2, FsyncPolicy::Batch, None, &metrics, |_| {}).unwrap().wal;
+        wal.reset(4, 2, || Ok(())).unwrap();
+        append_all(&mut wal, &events[..1]);
+        drop(wal);
+        let contents = read_log(&wal_path(&dir)).unwrap();
+        assert_eq!((contents.after, contents.generation, contents.events.len()), (4, 2, 1));
+        // A log that starts past the snapshot cannot continue it: it is
+        // discarded, and the log restarts after the snapshot.
+        let mut replayed = 0;
+        let recovered =
+            recover(&dir, 3, 2, FsyncPolicy::Batch, None, &metrics, |_| replayed += 1).unwrap();
+        assert_eq!((replayed, recovered.head), (0, 3));
+        assert!(recovered.torn > 0);
+        assert_eq!(read_log(&wal_path(&dir)).unwrap().after, 3);
+    }
+
+    #[test]
+    fn a_failed_reset_refuses_appends_until_a_reset_succeeds() {
+        let dir = tmp_dir("reset");
+        let mut wal = open_fresh(&dir, FsyncPolicy::Batch, None);
+        append_all(&mut wal, &sample_events());
+        let failed = wal.reset(40, 3, || Err(std::io::Error::other("no snapshot")));
+        assert!(failed.is_err());
+        assert_eq!(read_log(&wal_path(&dir)).unwrap().good, 0, "the old lineage is gone first");
+        assert!(wal.append(&sample_events()[0].encode_record()).is_err(), "poisoned");
+        wal.reset(40, 3, || Ok(())).unwrap();
+        assert_eq!(wal.head(), 40);
+        wal.append(&sample_events()[0].encode_record()).unwrap();
+        let contents = read_log(&wal_path(&dir)).unwrap();
+        assert_eq!((contents.after, contents.generation, contents.events.len()), (40, 3, 1));
     }
 
     #[test]
@@ -908,31 +1001,18 @@ mod tests {
 
     #[test]
     fn batch_wal_tunes_only_without_faults() {
-        let dir = tmp_dir();
-        let metrics = Arc::new(ServiceMetrics::new());
-        let fresh = LogContents::default();
-        let path = dir.join("tuned.log");
-        std::fs::remove_file(&path).ok();
-        let wal = Wal::open(&path, &fresh, 1, FsyncPolicy::Batch, None, 0, &metrics).unwrap();
+        let wal = open_fresh(&tmp_dir("tuned"), FsyncPolicy::Batch, None);
         assert_eq!(wal.batch_target(), BATCH_INTERVAL);
-        drop(wal);
         // Injected faults pin the cadence: the seeded fault stream
         // advances per file op, so the op sequence must stay fixed.
-        let faulted_path = dir.join("tuned-faulted.log");
-        std::fs::remove_file(&faulted_path).ok();
         let faults = StorageFaults::uniform(7, 0.0);
-        let mut wal =
-            Wal::open(&faulted_path, &fresh, 1, FsyncPolicy::Batch, Some(faults), 0, &metrics)
-                .unwrap();
+        let mut wal = open_fresh(&tmp_dir("tuned-faulted"), FsyncPolicy::Batch, Some(faults));
         for event in sample_events().iter().cycle().take(200) {
-            wal.append(event).unwrap();
+            wal.append(&event.encode_record()).unwrap();
         }
         assert_eq!(wal.batch_target(), BATCH_INTERVAL, "faulted logs never adapt");
         // Always/Never policies have no batch to tune either.
-        let always_path = dir.join("tuned-always.log");
-        std::fs::remove_file(&always_path).ok();
-        let wal =
-            Wal::open(&always_path, &fresh, 1, FsyncPolicy::Always, None, 0, &metrics).unwrap();
+        let wal = open_fresh(&tmp_dir("tuned-always"), FsyncPolicy::Always, None);
         assert_eq!(wal.batch_target(), BATCH_INTERVAL);
     }
 

@@ -42,9 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alignment;
 pub mod bottom_up;
-pub mod constrained;
 pub mod detect;
 pub mod metrics;
 pub mod selkow;
@@ -52,9 +50,7 @@ pub mod stm;
 pub mod tree;
 pub mod zhang_shasha;
 
-pub use alignment::{alignment_distance, alignment_sim};
 pub use bottom_up::{bottom_up_matching, bottom_up_sim};
-pub use constrained::{constrained_distance, constrained_sim};
 pub use detect::{
     countable_nodes_detect, n_tree_sim_detect, rstm_detect, DetectTree, DetectTreeBuilder,
     MatchScratch, SymbolTable,

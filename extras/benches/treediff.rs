@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cookiepicker_core::DomTreeView;
 use cp_cookies::SimTime;
-use cp_treediff::{alignment_distance, bottom_up_matching, n_tree_sim, rstm, selkow_distance, stm, zhang_shasha_distance};
+use cp_treediff::{bottom_up_matching, n_tree_sim, rstm, selkow_distance, stm, zhang_shasha_distance};
 use cp_webworld::render::{render_page, RenderInput};
 use cp_webworld::{Category, CookieSpec, SiteSpec};
 use cp_runtime::rng::{SeedableRng, StdRng};
@@ -54,11 +54,6 @@ fn bench_matchers(c: &mut Criterion) {
                 BenchmarkId::new("zhang_shasha", richness),
                 &richness,
                 |bench, _| bench.iter(|| zhang_shasha_distance(&va, &vb)),
-            );
-            group.bench_with_input(
-                BenchmarkId::new("alignment", richness),
-                &richness,
-                |bench, _| bench.iter(|| alignment_distance(&va, &vb)),
             );
         }
     }

@@ -157,37 +157,6 @@ proptest! {
     }
 
     #[test]
-    fn alignment_sandwiched_between_edit_and_selkow(a in arb_tree(), b in arb_tree()) {
-        let zs = cp_treediff::zhang_shasha_distance(&a, &b);
-        let al = cp_treediff::alignment_distance(&a, &b);
-        let sk = selkow_distance(&a, &b);
-        prop_assert!(zs <= al, "edit {zs} must lower-bound alignment {al}");
-        prop_assert!(al <= sk, "alignment {al} must lower-bound selkow {sk}");
-    }
-
-    #[test]
-    fn constrained_upper_bounds_edit(a in arb_tree(), b in arb_tree()) {
-        let zs = cp_treediff::zhang_shasha_distance(&a, &b);
-        let cd = cp_treediff::constrained_distance(&a, &b);
-        prop_assert!(zs <= cd, "edit {zs} must lower-bound constrained {cd}");
-        prop_assert_eq!(cp_treediff::constrained_distance(&a, &a), 0);
-        prop_assert_eq!(cd, cp_treediff::constrained_distance(&b, &a));
-        let s = cp_treediff::constrained_sim(&a, &b);
-        prop_assert!((0.0..=1.0).contains(&s));
-    }
-
-    #[test]
-    fn alignment_identity_and_symmetry(a in arb_tree(), b in arb_tree()) {
-        prop_assert_eq!(cp_treediff::alignment_distance(&a, &a), 0);
-        prop_assert_eq!(
-            cp_treediff::alignment_distance(&a, &b),
-            cp_treediff::alignment_distance(&b, &a)
-        );
-        let s = cp_treediff::alignment_sim(&a, &b);
-        prop_assert!((0.0..=1.0).contains(&s));
-    }
-
-    #[test]
     fn notation_round_trip(t in arb_tree()) {
         let s = t.to_notation();
         let back = SimpleTree::parse(&s).unwrap();

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Cluster failover harness: prove the WAL-shipped replication tier loses
+# Cluster failover harness: prove the log-streaming replication tier loses
 # no acked mark when the primary dies, invents nothing, and fences a
 # stale primary on rejoin.
 #
@@ -29,12 +29,13 @@
 #                    to the primary's applied sequence automatically (no
 #                    restart, no operator), no acked mark is lost or
 #                    invented across partition → heal → resync, and the
-#                    backlog replay is visible in cp_repl_resync_total.
+#                    gap streamed from the primary's log tail is visible
+#                    in cp_repl_resync_total.
 #   6. restart     — the follower is SIGKILLed and restarted empty at its
-#                    old replication port. The primary's maintenance
-#                    thread must redial and walk it back up the resync
-#                    ladder (backlog replay or snapshot bootstrap) until
-#                    it converges, hands-off.
+#                    old replication port. The follower's sender thread
+#                    on the primary must redial and bring it back
+#                    (streaming from the log tail, or a snapshot
+#                    bootstrap) until it converges, hands-off.
 #   7. stall       — a second follower is stalled (bytes stop, connection
 #                    stays up) through the proxy while quorum load runs.
 #                    Gates: the stalled peer is demoted within the ack
@@ -310,10 +311,10 @@ grep -q "fenced" "$REJOIN_LOG" \
     || { echo "cluster: rejoin refusal did not name the fence:"; cat "$REJOIN_LOG"; FAIL=1; }
 stop_cluster
 
-# ---- Phase 5: partition → heal → automatic backlog resync -----------------
+# ---- Phase 5: partition → heal → automatic resync from the log tail -------
 # B follows A through the chaos proxy. Ack policy `none` keeps A writable
-# while the link is cut; after the scheduled heal, A's maintenance thread
-# must redial and replay the gap from its in-memory backlog until B holds
+# while the link is cut; after the scheduled heal, B's sender thread on A
+# must redial and stream the gap from A's in-memory log tail until B holds
 # every acked mark — no restart, no operator action.
 start_node "$WORK/heal-b.log"
 HEAL_B_PID=$NODE_PID; HEAL_B_PORT=$NODE_PORT; HEAL_B_REPL=$NODE_REPL
@@ -354,9 +355,9 @@ P5_RECORDS="$(metric_of "$HEAL_A_PORT" cp_repl_resync_records_total)"
 
 # ---- Phase 6: follower kill -9 + restart → hands-off reconvergence --------
 # The same pair keeps running: B dies hard, A keeps acking writes, B comes
-# back *empty* on its old replication port. The maintenance redial must
-# walk it up the resync ladder (backlog replay, or snapshot bootstrap when
-# the ring no longer covers a from-zero restart) until it converges.
+# back *empty* on its old replication port. Its sender's redial must bring
+# it back (streaming from the log tail, or a snapshot bootstrap when the
+# tail no longer reaches back to a from-zero restart) until it converges.
 kill -9 "$HEAL_B_PID"
 wait "$HEAL_B_PID" 2>/dev/null || true
 "$BIN" loadgen --port "$HEAL_A_PORT" --threads "$THREADS" --requests "$((REQUESTS / 4))" \
@@ -396,7 +397,7 @@ kill -9 "$HEAL_PROXY_PID" 2>/dev/null || true
 # A leads B directly and C through a proxy that goes silent (stall: bytes
 # stop, connections stay up) mid-run. Quorum needs only one follower, so
 # writes must keep flowing: the stalled peer is demoted within the ack
-# deadline instead of blocking the shard lock for the 5 s stream timeout.
+# deadline instead of holding client writes for the 5 s stream timeout.
 start_node "$WORK/stall-b.log"
 STALL_B_PID=$NODE_PID; STALL_B_PORT=$NODE_PORT; STALL_B_REPL=$NODE_REPL
 start_node "$WORK/stall-c.log"

@@ -11,8 +11,15 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 cargo fmt --check
+cargo clippy --all-targets --workspace -- -D warnings
 cargo build --release --workspace
 cargo test -q --workspace
+
+# The benchmark package (its own workspace under perfbench/) compiles
+# against the service's public API: build and test it here, so an API
+# change that breaks it fails CI instead of the benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 # Serve smoke: a short multi-connection loadgen run against the readiness
 # loop — gates on zero 5xx and an exact client/server counter match.
@@ -43,9 +50,10 @@ SMOKE=1 ./scripts/bench_crawl.sh
 
 # Cluster smoke: kill -9 the replicated primary mid-load behind the
 # router, then the self-healing gates — a chaos-proxy partition that must
-# heal by backlog resync with no acked mark lost, a killed-and-restarted
-# follower that must reconverge hands-off, and a stalled follower that
-# must be demoted within the ack deadline instead of blocking writes.
+# heal by streaming the gap from the log tail with no acked mark lost, a
+# killed-and-restarted follower that must reconverge hands-off, and a
+# stalled follower that must be demoted within the ack deadline instead
+# of blocking writes.
 SMOKE=1 ./scripts/cluster.sh
 
-echo "verify: fmt + build + tests + serve smoke + detect smoke + world smoke + chaos smoke + crash smoke + crawl smoke + cluster smoke passed offline"
+echo "verify: fmt + clippy + build + tests + perfbench build/tests + serve smoke + detect smoke + world smoke + chaos smoke + crash smoke + crawl smoke + cluster smoke passed offline"

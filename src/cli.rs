@@ -73,11 +73,11 @@ pub enum Command {
         timeout_ms: u64,
         /// Chaos mode: hidden-fetch fault rate in `[0, 1]` (0 disables).
         chaos_rate: f64,
-        /// Durable mode: directory for per-shard WALs + snapshots.
+        /// Durable mode: directory for the node's WAL + snapshot.
         data_dir: Option<String>,
         /// WAL fsync policy (`always` / `batch` / `never`).
         fsync: cp_serve::FsyncPolicy,
-        /// Events between automatic per-shard checkpoints.
+        /// Events between automatic checkpoints.
         snapshot_every: u64,
         /// Injected storage-fault rate in `[0, 1]` (0 = real filesystem).
         storage_fault_rate: f64,
@@ -94,8 +94,8 @@ pub enum Command {
         /// Generation to lead at — followers that have witnessed a newer
         /// one fence the handshake and the server refuses to start.
         repl_generation: u64,
-        /// Resync backlog ring capacity (records kept in memory for
-        /// follower replay; reconnectors beyond the window bootstrap).
+        /// Records the in-memory log tail keeps for streaming to
+        /// followers; reconnectors before the tail bootstrap.
         repl_backlog: usize,
     },
     /// Run the cluster router in front of replicated cp-serve backends.

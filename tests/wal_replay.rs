@@ -121,8 +121,8 @@ fn arbitrary_truncation_recovers_a_prefix_without_panicking() {
     let seed = 0x72C;
     let dir = tmp_dir("trunc");
     let config = DurabilityConfig::new(dir.clone());
-    // Single shard so the whole stream lives in one log and "prefix of
-    // the acked stream" is directly checkable.
+    // One shard, one log segment: "prefix of the acked stream" is
+    // directly checkable on the segment file.
     let (store, _, _) = open(&config, 1);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut acked = Vec::new();
@@ -132,7 +132,7 @@ fn arbitrary_truncation_recovers_a_prefix_without_panicking() {
         acked.push(event);
     }
     drop(store);
-    let wal = cp_serve::wal::wal_path(&dir, 0);
+    let wal = cp_serve::wal::wal_path(&dir);
     let bytes = std::fs::read(&wal).unwrap();
     // Cut the log at a spread of arbitrary byte offsets (every 7th byte
     // keeps the loop fast while still hitting header, length-field,
@@ -172,7 +172,7 @@ fn corrupted_bytes_never_panic_and_never_invent_events() {
         acked.push(event);
     }
     drop(store);
-    let wal = cp_serve::wal::wal_path(&dir, 0);
+    let wal = cp_serve::wal::wal_path(&dir);
     let bytes = std::fs::read(&wal).unwrap();
     for _ in 0..50 {
         let mut damaged = bytes.clone();
@@ -182,7 +182,7 @@ fn corrupted_bytes_never_panic_and_never_invent_events() {
         let contents = read_log(&wal).unwrap();
         // A flipped bit can only shorten what replays — every surviving
         // event must be one we acked, in order. (A flip inside the
-        // header's generation field changes no event.)
+        // header's `after` or generation field changes no event.)
         assert!(
             contents.events.len() <= acked.len()
                 && contents.events[..] == acked[..contents.events.len()],
@@ -251,7 +251,7 @@ fn checkpoint_then_tail_replay_is_seamless() {
         }
         drop(store);
         let (recovered, stats, _) = open(&config, 4);
-        assert_eq!(stats.snapshots_loaded, 4, "every shard snapshotted at the checkpoint");
+        assert_eq!(stats.snapshots_loaded, 1, "the node snapshotted at the checkpoint");
         assert_eq!(stats.records_replayed, 50, "only the post-checkpoint tail replays");
         assert_eq!(fingerprint(&recovered), fingerprint(&shadow), "seed {seed}");
         std::fs::remove_dir_all(&dir).ok();
